@@ -27,7 +27,6 @@ from .basis2d import (
     DofKind,
     InvalidTarget,
     SpanReport,
-    UnsupportedOrder,
     array_sum,
     classify_dofs,
     coordinates_in_basis,
@@ -51,7 +50,6 @@ from .assembly import (
     LocalMatrices,
     assemble,
     constant_coefficient_vector,
-    local_matrices,
     reference_matrices,
     scale_to_element,
     write_matrix_coo,
@@ -79,63 +77,3 @@ from .studies import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ONE",
-    "Polynomial",
-    "SingularSystem",
-    "X",
-    "Y",
-    "solve_rational_system",
-    "try_solve_rational_system",
-    "ConstructionFailure",
-    "InvalidIndex",
-    "Phi1D",
-    "generate_phi",
-    "interpolating_conditions",
-    "BasisArray",
-    "DofKind",
-    "InvalidTarget",
-    "SpanReport",
-    "UnsupportedOrder",
-    "array_sum",
-    "classify_dofs",
-    "coordinates_in_basis",
-    "product_table",
-    "reindex",
-    "serendipity_basis",
-    "span_check",
-    "tensor_basis",
-    "DofMap",
-    "Mesh",
-    "build_dof_map",
-    "build_mesh",
-    "dof_totals",
-    "dump_mesh_text",
-    "EmptySystem",
-    "GlobalSystem",
-    "LocalMatrices",
-    "assemble",
-    "constant_coefficient_vector",
-    "local_matrices",
-    "reference_matrices",
-    "scale_to_element",
-    "write_matrix_coo",
-    "EigenResult",
-    "InsufficientSpectrum",
-    "MassNotPD",
-    "select_near",
-    "solve_generalized",
-    "spectrum_error_profile",
-    "StudyRow",
-    "StudySpec",
-    "TARGET_PRESETS",
-    "exact_square_spectrum",
-    "plot_convergence",
-    "read_csv",
-    "resolve_target",
-    "run_study",
-    "solve_configuration",
-    "spectrum_report",
-    "write_csv",
-]

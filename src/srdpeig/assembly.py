@@ -6,6 +6,13 @@ physical element of side h.  Under the map from the reference square to a
 square of side h, mass entries pick up a factor (h/2)^2 while stiffness
 entries are unchanged (the gradient and area factors cancel in 2D).
 
+Both families share one separable path.  Every basis function is a signed
+sum of products phi_a(x) phi_b(y) of 1D functions (`basis2d.slot_factors`),
+so each mass entry is a signed sum of products Gx * Gy of exact 1D
+cross-Gram entries G = int phi_a phi_b, and each stiffness entry one of
+Sx * Gy + Gx * Sy with S = int phi_a' phi_b' (sum factorization).  The
+tensor family is the single-product case.
+
 Edge derivative DOFs are interpreted in reference-element units and are not
 rescaled per element: on a uniform mesh both elements sharing an edge use
 the same h, so the identification is consistent as is.
@@ -21,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis1d import generate_phi
-from .basis2d import TENSOR, BasisArray, coordinates_in_basis
+from .basis2d import coordinates_in_basis, slot_factors
 from .mesh import DofMap, Mesh, reference_basis
 from .polynomial import ONE, Polynomial
 
@@ -52,85 +59,47 @@ class LocalMatrices:
         return len(self.slots)
 
 
-def _gram(funcs: list[Polynomial]) -> list[list[Fraction]]:
-    n = len(funcs)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            v = (funcs[a] * funcs[b]).integrate_box()
-            out[a][b] = v
-            out[b][a] = v
-    return out
-
-
-def _gram_grad(funcs: list[Polynomial]) -> list[list[Fraction]]:
-    dx = [f.derivative("x") for f in funcs]
-    dy = [f.derivative("y") for f in funcs]
-    n = len(funcs)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            v = (dx[a] * dx[b] + dy[a] * dy[b]).integrate_box()
-            out[a][b] = v
-            out[b][a] = v
-    return out
-
-
-def _tensor_local(basis: BasisArray) -> LocalMatrices:
-    # Separable shortcut: 2D integrals factor into 1D ones for pure products.
-    phi = list(generate_phi(basis.p).functions)
-    dphi = [f.derivative("x") for f in phi]
-
-    def line_integral(f: Polynomial, g: Polynomial) -> Fraction:
-        prod = f * g
-        return sum(
-            (
-                c * Fraction(2, i + 1)
-                for (i, _), c in prod.terms.items()
-                if i % 2 == 0
-            ),
-            Fraction(0),
-        )
-
-    m = len(phi)
-    G = [[line_integral(phi[a], phi[b]) for b in range(m)] for a in range(m)]
-    S = [[line_integral(dphi[a], dphi[b]) for b in range(m)] for a in range(m)]
-
-    slots = tuple(basis.nonzero_slots())
-    mass = []
-    stiff = []
-    for (ia, ja) in slots:
-        mrow = []
-        srow = []
-        for (ib, jb) in slots:
-            mrow.append(G[ia - 1][ib - 1] * G[ja - 1][jb - 1])
-            srow.append(
-                S[ia - 1][ib - 1] * G[ja - 1][jb - 1]
-                + G[ia - 1][ib - 1] * S[ja - 1][jb - 1]
-            )
-        mass.append(tuple(mrow))
-        stiff.append(tuple(srow))
-    return LocalMatrices(basis.family, basis.p, slots, tuple(mass), tuple(stiff))
-
-
-def local_matrices(basis: BasisArray) -> LocalMatrices:
-    """Exact mass and stiffness Gram matrices of the basis on [-1, 1]^2."""
-    if basis.family == TENSOR:
-        return _tensor_local(basis)
-    funcs = basis.functions()
-    return LocalMatrices(
-        basis.family,
-        basis.p,
-        tuple(basis.nonzero_slots()),
-        tuple(map(tuple, _gram(funcs))),
-        tuple(map(tuple, _gram_grad(funcs))),
-    )
-
-
 @lru_cache(maxsize=None)
 def reference_matrices(family: str, p: int) -> LocalMatrices:
-    """Cached exact reference matrices for a family/order."""
-    return local_matrices(reference_basis(family, p))
+    """Cached exact mass and stiffness Gram matrices of the family's order-p
+    basis on [-1, 1]^2, built from 1D cross-Gram entries (module docstring)."""
+    slots = tuple(reference_basis(family, p).nonzero_slots())
+    factors = slot_factors(family, p)
+
+    @lru_cache(maxsize=None)
+    def phi(order: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+        funcs = generate_phi(order).functions
+        return funcs, tuple(f.derivative("x") for f in funcs)
+
+    @lru_cache(maxsize=None)
+    def line(u: tuple[int, int], v: tuple[int, int]) -> tuple[Fraction, Fraction]:
+        # (int phi_u phi_v, int phi_u' phi_v') over [-1, 1]; the box integral
+        # of a function of x alone is twice its line integral.
+        (fu, dfu), (fv, dfv) = phi(u[0]), phi(v[0])
+        a, b = u[1] - 1, v[1] - 1
+        return (
+            (fu[a] * fv[b]).integrate_box() / 2,
+            (dfu[a] * dfv[b]).integrate_box() / 2,
+        )
+
+    k = len(slots)
+    mass = [[Fraction(0)] * k for _ in range(k)]
+    stiff = [[Fraction(0)] * k for _ in range(k)]
+    for r in range(k):
+        for c in range(r, k):
+            m_rc = s_rc = Fraction(0)
+            for s1, x1, y1 in factors[slots[r]]:
+                for s2, x2, y2 in factors[slots[c]]:
+                    gx, sx = line(x1, x2)
+                    gy, sy = line(y1, y2)
+                    sign = s1 * s2
+                    m_rc += sign * gx * gy
+                    s_rc += sign * (sx * gy + gx * sy)
+            mass[r][c] = mass[c][r] = m_rc
+            stiff[r][c] = stiff[c][r] = s_rc
+    return LocalMatrices(
+        family, p, slots, tuple(map(tuple, mass)), tuple(map(tuple, stiff))
+    )
 
 
 def scale_to_element(

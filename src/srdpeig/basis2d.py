@@ -14,6 +14,13 @@ signed sums of smaller product arrays, re-indexed into a common array size
 so that endpoint functionals stay attached to the last row/column.  The
 serendipity space of order p spans every polynomial of total degree <= p
 plus the two monomials x^p y and x y^p.
+
+`combination` gives the signed tables in closed form, for every p >= 1, by
+the sparse-grid combination technique (Griebel, Schneider & Zenger 1992):
+for p >= 2 the tables (p, 1), (1, p) and (a, p - a), 2 <= a <= p - 2, are
+added and the tables (a, b) with a + b = max(p - 1, 2) subtracted.  So
+every basis function is a signed sum of 1D x 1D products, which
+`slot_factors` lists per slot.
 """
 
 from __future__ import annotations
@@ -32,10 +39,6 @@ FAMILIES = (TENSOR, SERENDIPITY)
 
 class InvalidTarget(ValueError):
     """Requested array size cannot hold the source array."""
-
-
-class UnsupportedOrder(ValueError):
-    """Serendipity combination table does not cover the requested order."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,12 @@ def tensor_basis(p: int) -> BasisArray:
     return product_table(p, p)
 
 
+def _embed(k: int, order: int, size: int) -> int:
+    """Index in an order-`size` array of 1D function k of order `order`: the
+    last function (endpoint +1) moves to the last index, the others stay."""
+    return size + 1 if k == order + 1 else k
+
+
 def reindex(source: BasisArray, size: int) -> BasisArray:
     """Embed a product array into an (size+1) x (size+1) array.
 
@@ -110,9 +119,7 @@ def reindex(source: BasisArray, size: int) -> BasisArray:
     grid = [[zero] * (size + 1) for _ in range(size + 1)]
     for i in range(1, px + 2):
         for j in range(1, py + 2):
-            ti = size + 1 if i == px + 1 else i
-            tj = size + 1 if j == py + 1 else j
-            grid[ti - 1][tj - 1] = source.entry(i, j)
+            grid[_embed(i, px, size) - 1][_embed(j, py, size) - 1] = source.entry(i, j)
     return BasisArray(source.family, size, size, size, tuple(map(tuple, grid)))
 
 
@@ -130,34 +137,44 @@ def array_sum(terms: list[tuple[int, BasisArray]], size: int) -> BasisArray:
     return BasisArray(SERENDIPITY, size, size, size, tuple(map(tuple, grid)))
 
 
-# Signed combinations of product tables that produce the serendipity basis,
-# per order.  Each term is (sign, (px, py)); the target array size is p.
-_SERENDIPITY_COMBINATIONS: dict[int, list[tuple[int, tuple[int, int]]]] = {
-    1: [(+1, (1, 1))],
-    2: [(+1, (2, 1)), (+1, (1, 2)), (-1, (1, 1))],
-    3: [(+1, (3, 1)), (+1, (1, 3)), (-1, (1, 1))],
-    4: [(+1, (4, 1)), (+1, (1, 4)), (+1, (2, 2)), (-1, (2, 1)), (-1, (1, 2))],
-    5: [
-        (+1, (5, 1)),
-        (+1, (1, 5)),
-        (+1, (3, 2)),
-        (+1, (2, 3)),
-        (-1, (3, 1)),
-        (-1, (1, 3)),
-        (-1, (2, 2)),
-    ],
-    6: [
-        (+1, (6, 1)),
-        (+1, (1, 6)),
-        (+1, (4, 2)),
-        (+1, (2, 4)),
-        (+1, (3, 3)),
-        (-1, (4, 1)),
-        (-1, (1, 4)),
-        (-1, (2, 3)),
-        (-1, (3, 2)),
-    ],
-}
+def combination(family: str, p: int) -> list[tuple[int, tuple[int, int]]]:
+    """Signed product tables (sign, (px, py)) whose sum is the order-p basis.
+
+    Tensor is the single table (p, p).  Serendipity follows the sparse-grid
+    combination technique: for p >= 2 the + tables are (p, 1), (1, p) and
+    (a, p - a) for 2 <= a <= p - 2, the - tables are (a, b) with a, b >= 1
+    and a + b = max(p - 1, 2); p = 1 is the bilinear table (1, 1).
+    """
+    if p < 1:
+        raise ValueError("order must be >= 1")
+    if family == TENSOR:
+        return [(+1, (p, p))]
+    if family != SERENDIPITY:
+        raise ValueError(f"unknown family {family!r}")
+    if p == 1:
+        return [(+1, (1, 1))]
+    plus = [(p, 1), (1, p)] + [(a, p - a) for a in range(2, p - 1)]
+    m = max(p - 1, 2)
+    minus = [(a, m - a) for a in range(1, m)]
+    return [(+1, t) for t in plus] + [(-1, t) for t in minus]
+
+
+def slot_factors(
+    family: str, p: int
+) -> dict[tuple[int, int], list[tuple[int, tuple[int, int], tuple[int, int]]]]:
+    """Signed 1D factors of every slot of the order-p array.
+
+    The entry at slot (i, j) is the sum over its factors (sign, (px, a),
+    (py, b)) of sign * phi_a^(px)(x) * phi_b^(py)(y), with phi from
+    `generate_phi`.
+    """
+    factors: dict[tuple[int, int], list] = {}
+    for sign, (px, py) in combination(family, p):
+        for a in range(1, px + 2):
+            for b in range(1, py + 2):
+                slot = (_embed(a, px, p), _embed(b, py, p))
+                factors.setdefault(slot, []).append((sign, (px, a), (py, b)))
+    return factors
 
 
 @lru_cache(maxsize=None)
@@ -167,12 +184,7 @@ def serendipity_basis(p: int) -> BasisArray:
     Nonzero count is (p^2 + 3p + 6) / 2 for p >= 2 and 4 for p = 1 (where
     the two extra monomials x^p y and x y^p coincide).
     """
-    try:
-        combo = _SERENDIPITY_COMBINATIONS[p]
-    except KeyError:
-        raise UnsupportedOrder(
-            f"serendipity combinations are tabulated for orders 1..6, got {p}"
-        ) from None
+    combo = combination(SERENDIPITY, p)
     return array_sum([(sign, product_table(px, py)) for sign, (px, py) in combo], p)
 
 

@@ -8,8 +8,8 @@ import json
 import sys
 
 from .assembly import assemble, reference_matrices, write_matrix_coo
-from .basis2d import BasisArray, serendipity_basis, tensor_basis
-from .mesh import build_dof_map, build_mesh, dump_mesh_text
+from .basis2d import BasisArray
+from .mesh import build_dof_map, build_mesh, dump_mesh_text, reference_basis
 from .studies import (
     FAMILIES,
     StudySpec,
@@ -17,10 +17,6 @@ from .studies import (
     run_study,
     spectrum_report,
 )
-
-
-def _basis_for(family: str, p: int) -> BasisArray:
-    return tensor_basis(p) if family == "tensor" else serendipity_basis(p)
 
 
 def format_basis_text(basis: BasisArray) -> str:
@@ -65,7 +61,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         fixed=args.fixed,
         csv_path=args.csv,
         plot_path=args.plot,
-        deterministic=args.deterministic,
     )
     rows = run_study(spec)
     print(f"wrote {len(rows)} rows to {args.csv}")
@@ -75,7 +70,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    basis = _basis_for(args.family, args.p)
+    basis = reference_basis(args.family, args.p)
     if args.format == "records":
         sys.stdout.write(format_basis_records(basis))
     else:
@@ -137,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument("--csv", required=True, help="output CSV path")
     study.add_argument("--plot", default=None, help="optional output SVG path")
-    study.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force sequential, bit-reproducible execution",
-    )
     study.set_defaults(func=_cmd_study)
 
     basis = sub.add_parser("basis", help="dump a reference basis catalog")

@@ -27,15 +27,10 @@ class InsufficientSpectrum(ValueError):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Ascending spectrum with optional eigenvectors and run metadata."""
+    """Ascending spectrum with optional eigenvectors and the system size."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    family: str | None = None
-    p: int | None = None
-    N: int | None = None
-    bc: str | None = None
-    domain: str | None = None
     ndofs: int = 0
 
     def __len__(self) -> int:
@@ -46,7 +41,7 @@ def solve_generalized(system: GlobalSystem, with_vectors: bool = False) -> Eigen
     """Full ascending spectrum of the assembled pencil (L, M)."""
     n = system.dimension
     if n == 0:
-        return EigenResult(np.empty(0), bc=system.bc, ndofs=0)
+        return EigenResult(np.empty(0))
     M = system.M.toarray()
     L = system.L.toarray()
     try:
@@ -66,7 +61,7 @@ def solve_generalized(system: GlobalSystem, with_vectors: bool = False) -> Eigen
     w = w[order]
     if vectors is not None:
         vectors = vectors[:, order]
-    return EigenResult(w, vectors, bc=system.bc, ndofs=n)
+    return EigenResult(w, vectors, ndofs=n)
 
 
 def select_near(result: EigenResult, target: float, multiplicity: int = 1) -> list[float]:

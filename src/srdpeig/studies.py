@@ -77,7 +77,6 @@ class StudySpec:
     fixed: int
     csv_path: str | Path | None = None
     plot_path: str | Path | None = None
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
@@ -118,17 +117,7 @@ def solve_configuration(
     mesh = build_mesh(domain, N)
     dofmap = build_dof_map(mesh, family, p)
     system = assemble(mesh, dofmap, reference_matrices(family, p), bc)
-    result = solve_generalized(system, with_vectors=with_vectors)
-    return EigenResult(
-        result.eigenvalues,
-        result.eigenvectors,
-        family=family,
-        p=p,
-        N=N,
-        bc=bc,
-        domain=domain,
-        ndofs=result.ndofs,
-    )
+    return solve_generalized(system, with_vectors=with_vectors)
 
 
 def run_study(spec: StudySpec) -> list[StudyRow]:

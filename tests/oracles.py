@@ -1,14 +1,17 @@
 """Independent verification routines for the test suite.
 
 Everything here deliberately avoids the code paths it checks: integrals use
-Gauss quadrature instead of the monomial rule, eigenvalues come from Sturm
-bisection or separation of variables instead of LAPACK, and whole discrete
-spaces are rebuilt from raw monomials with pointwise continuity constraints.
+Gauss quadrature instead of the monomial rule, exact Gram matrices integrate
+whole 2D products instead of the separable 1D factors, eigenvalues come from
+Sturm bisection or separation of variables instead of LAPACK, and whole
+discrete spaces are rebuilt from raw monomials with pointwise continuity
+constraints.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,6 +35,17 @@ def gauss_box_integral(poly: Polynomial, n: int = 9) -> float:
     xg, yg = np.meshgrid(nodes, nodes)
     wg = np.outer(weights, weights)
     return float((eval_float(poly, xg, yg) * wg).sum())
+
+
+def exact_gram(funcs: list[Polynomial]) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Exact mass and stiffness Gram matrices over [-1, 1]^2, each entry
+    integrated as one 2D product by `Polynomial.integrate_box`."""
+    grads = [(f.derivative("x"), f.derivative("y")) for f in funcs]
+    mass = [[(f * g).integrate_box() for g in funcs] for f in funcs]
+    stiffness = [
+        [(fx * gx + fy * gy).integrate_box() for gx, gy in grads] for fx, fy in grads
+    ]
+    return mass, stiffness
 
 
 def dirichlet_p1_eigenvalues_1d(N: int) -> np.ndarray:

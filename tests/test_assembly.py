@@ -5,19 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import gauss_box_integral
+from oracles import exact_gram, gauss_box_integral
 from srdpeig.assembly import (
     EmptySystem,
-    _gram,
-    _gram_grad,
     assemble,
     constant_coefficient_vector,
-    local_matrices,
     reference_matrices,
     scale_to_element,
     write_matrix_coo,
 )
-from srdpeig.basis2d import coordinates_in_basis, serendipity_basis, tensor_basis
+from srdpeig.basis2d import coordinates_in_basis
 from srdpeig.mesh import build_dof_map, build_mesh, reference_basis
 from srdpeig.polynomial import ONE, Polynomial
 
@@ -56,13 +53,15 @@ class TestLocalMatrices:
         for row in lm.stiffness_ref:
             assert sum(c * v for c, v in zip(coords, row)) == 0
 
-    @pytest.mark.parametrize("p", range(1, 4))
-    def test_separable_path_matches_generic(self, p):
-        basis = tensor_basis(p)
-        fast = local_matrices(basis)
-        funcs = basis.functions()
-        assert [list(r) for r in fast.mass_ref] == _gram(funcs)
-        assert [list(r) for r in fast.stiffness_ref] == _gram_grad(funcs)
+    @pytest.mark.parametrize("family", ["tensor", "serendipity"])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_separable_path_matches_exact_gram(self, family, p):
+        lm = reference_matrices(family, p)
+        basis = reference_basis(family, p)
+        assert lm.slots == tuple(basis.nonzero_slots())
+        mass, stiffness = exact_gram(basis.functions())
+        assert [list(r) for r in lm.mass_ref] == mass
+        assert [list(r) for r in lm.stiffness_ref] == stiffness
 
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
     @pytest.mark.parametrize("p", range(1, 4))

@@ -11,10 +11,10 @@ from srdpeig.basis2d import (
     INTERIOR,
     VERTEX,
     InvalidTarget,
-    UnsupportedOrder,
     array_sum,
     basis_rank,
     classify_dofs,
+    combination,
     coordinates_in_basis,
     product_table,
     reindex,
@@ -149,9 +149,23 @@ class TestSerendipity:
         for i, j in basis.nonzero_slots():
             assert basis.entry(i, j).swap_xy() == basis.entry(j, i)
 
-    def test_unsupported_order(self):
-        with pytest.raises(UnsupportedOrder):
-            serendipity_basis(7)
+    def test_closed_form_p7(self):
+        basis = serendipity_basis(7)
+        assert basis.count_nonzero == serendipity_dimension(7) == 38
+        assert basis_rank(basis) == 38
+        assert span_check(basis).all_ok
+
+    def test_closed_form_p8_count(self):
+        assert serendipity_basis(8).count_nonzero == serendipity_dimension(8) == 47
+
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError):
+            serendipity_basis(0)
+
+    @pytest.mark.parametrize("family, p", [("tensor", 0), ("lagrange", 2)])
+    def test_combination_rejects_bad_input(self, family, p):
+        with pytest.raises(ValueError):
+            combination(family, p)
 
 
 class TestClassification:

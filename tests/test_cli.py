@@ -32,7 +32,6 @@ def test_study_writes_csv_and_plot(tmp_path, capsys):
             str(csv_path),
             "--plot",
             str(svg_path),
-            "--deterministic",
         ]
     )
     assert code == 0

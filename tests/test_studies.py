@@ -172,7 +172,6 @@ class TestCsv:
             target=TWO_PI_SQ,
             sweep="p",
             fixed=1,
-            deterministic=True,
         )
         rows = run_study(spec)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
