@@ -3,7 +3,8 @@ eigenvalue computation.
 
 The pipeline: exact rational polynomials -> univariate interpolation bases
 -> 2D basis arrays -> exact reference matrices -> sparse assembly on square
-or L-shaped meshes -> dense generalized eigensolve -> refinement studies.
+or L-shaped meshes -> generalized eigensolve (the eigenvalues nearest a
+target, or the full spectrum) -> refinement studies.
 """
 
 from .polynomial import (
@@ -58,6 +59,7 @@ from .eigensolve import (
     EigenResult,
     InsufficientSpectrum,
     MassNotPD,
+    SolveNotConverged,
     select_near,
     solve_generalized,
     spectrum_error_profile,

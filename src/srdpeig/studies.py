@@ -111,26 +111,36 @@ class StudyRow:
 
 
 def solve_configuration(
-    domain: str, bc: str, family: str, p: int, N: int, with_vectors: bool = False
+    domain: str,
+    bc: str,
+    family: str,
+    p: int,
+    N: int,
+    with_vectors: bool = False,
+    target: float | None = None,
 ) -> EigenResult:
-    """Mesh, assemble, and solve one configuration end to end."""
+    """Mesh, assemble, and solve one configuration end to end; with a
+    target, solve only for the eigenvalues nearest it."""
     mesh = build_mesh(domain, N)
     dofmap = build_dof_map(mesh, family, p)
     system = assemble(mesh, dofmap, reference_matrices(family, p), bc)
-    return solve_generalized(system, with_vectors=with_vectors)
+    return solve_generalized(system, with_vectors=with_vectors, target=target)
 
 
 def run_study(spec: StudySpec) -> list[StudyRow]:
     """Execute every sweep point for every family, in sweep order.
 
     Points whose Dirichlet system is empty (or whose spectrum cannot serve
-    the target) are skipped and logged.
+    the target) are skipped and logged.  A solve that fails its accuracy
+    checks (SolveNotConverged, MassNotPD) raises.
     """
     rows: list[StudyRow] = []
     for family in spec.families:
         for p, N in spec.points():
             try:
-                result = solve_configuration(spec.domain, spec.bc, family, p, N)
+                result = solve_configuration(
+                    spec.domain, spec.bc, family, p, N, target=spec.target
+                )
                 lam = select_near(result, spec.target)[0]
             except (EmptySystem, InsufficientSpectrum) as exc:
                 logger.warning(

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import srdpeig.eigensolve as eigensolve
 from srdpeig.basis2d import serendipity_basis
 from srdpeig.cli import main
 from srdpeig.polynomial import Polynomial
@@ -64,6 +65,39 @@ def test_study_accepts_float_target(tmp_path):
     )
     assert code == 0
     assert len(read_csv(csv_path)) == 4  # N = 1 skipped as degenerate
+
+
+def test_study_inaccurate_solve_exits_nonzero(tmp_path, monkeypatch, capsys):
+    real = eigensolve.eigsh
+
+    def perturbed(*args, **kwargs):
+        w, V = real(*args, **kwargs)
+        return w * (1 + 1e-4), V
+
+    monkeypatch.setattr(eigensolve, "eigsh", perturbed)
+    csv_path = tmp_path / "bad.csv"
+    code = main(
+        [
+            "study",
+            "--domain",
+            "square",
+            "--bc",
+            "dirichlet",
+            "--family",
+            "tensor",
+            "--sweep",
+            "h",
+            "--fixed",
+            "2",
+            "--target",
+            "two_pi_sq",
+            "--csv",
+            str(csv_path),
+        ]
+    )
+    assert code == 1
+    assert "backward error" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_basis_text(capsys):

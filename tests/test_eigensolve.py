@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from oracles import (
     bruteforce_square_spectrum,
@@ -13,18 +14,22 @@ from oracles import (
     sturm_generalized_eigenvalues,
 )
 from srdpeig.assembly import GlobalSystem, assemble, reference_matrices
+import srdpeig.eigensolve as eigensolve
 from srdpeig.eigensolve import (
+    K,
     EigenResult,
     InsufficientSpectrum,
     MassNotPD,
+    SolveNotConverged,
     select_near,
     solve_generalized,
     spectrum_error_profile,
 )
 from srdpeig.mesh import build_dof_map, build_mesh
-from srdpeig.studies import exact_square_spectrum, solve_configuration
+from srdpeig.studies import TARGET_PRESETS, exact_square_spectrum, solve_configuration
 
 TWO_PI_SQ = 2 * math.pi**2
+FIVE_PI_SQ = 5 * math.pi**2
 
 
 def synthetic_system(L: np.ndarray, M: np.ndarray) -> GlobalSystem:
@@ -73,6 +78,75 @@ class TestSolveGeneralized:
             v = result.eigenvectors[:, k]
             residual = L @ v - result.eigenvalues[k] * (M @ v)
             assert np.abs(residual).max() < 1e-8 * max(1.0, abs(result.eigenvalues[k]))
+
+
+class TestTargetedSolve:
+    @pytest.mark.parametrize("family", ["tensor", "serendipity"])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_lshape_neumann_agrees_with_dense(self, family, p, N):
+        # the window of K = 3 about 1.4756 holds the lambda = 0 constant mode,
+        # so errors are relative to max(|lambda|, target)
+        target = TARGET_PRESETS["lshape_neumann_1"]
+        window = solve_configuration("lshape", "neumann", family, p, N, target=target)
+        dense = solve_configuration("lshape", "neumann", family, p, N)
+        assert window.target == target and dense.target is None
+        assert len(window) == K and window.ndofs == dense.ndofs
+        expected = np.array(select_near(dense, target, multiplicity=K))
+        scale = np.maximum(np.abs(expected), target)
+        assert (np.abs(window.eigenvalues - expected) <= 1e-10 * scale).all()
+
+    @pytest.mark.parametrize("family", ["tensor", "serendipity"])
+    def test_double_eigenvalue_both_copies(self, family):
+        window = solve_configuration("square", "dirichlet", family, 3, 3, target=FIVE_PI_SQ)
+        dense = solve_configuration("square", "dirichlet", family, 3, 3)
+        ours = select_near(window, FIVE_PI_SQ, multiplicity=2)
+        theirs = select_near(dense, FIVE_PI_SQ, multiplicity=2)
+        assert ours == pytest.approx(theirs, rel=1e-10, abs=0)
+        assert abs(ours[1] - ours[0]) < 1e-9 * ours[0]
+
+    def test_vectors_satisfy_pencil(self):
+        mesh = build_mesh("square", 2)
+        dm = build_dof_map(mesh, "tensor", 2)
+        system = assemble(mesh, dm, reference_matrices("tensor", 2), "dirichlet")
+        result = solve_generalized(system, with_vectors=True, target=TWO_PI_SQ)
+        assert result.eigenvectors.shape == (system.dimension, K)
+        V = result.eigenvectors
+        residual = system.L @ V - (system.M @ V) * result.eigenvalues
+        assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
+
+    def test_small_system_takes_full_spectrum(self):
+        result = solve_configuration("square", "dirichlet", "tensor", 1, 2, target=TWO_PI_SQ)
+        assert result.target is None
+        assert result.eigenvalues.tolist() == pytest.approx([24.0], rel=1e-12)
+
+    def test_indefinite_mass_raises(self):
+        # ARPACK's shift-invert mode assumes M > 0; here it returned 2.40,
+        # 2.44 and 2.57 without complaint
+        mass = np.ones(50)
+        mass[10] = -1.0
+        system = synthetic_system(np.diag(np.arange(1.0, 51.0)), np.diag(mass))
+        with pytest.raises(MassNotPD):
+            solve_generalized(system, target=2.5)
+
+    def test_inaccurate_pairs_raise(self, monkeypatch):
+        real = eigensolve.eigsh
+
+        def perturbed(*args, **kwargs):
+            w, V = real(*args, **kwargs)
+            return w * (1 + 1e-4), V
+
+        monkeypatch.setattr(eigensolve, "eigsh", perturbed)
+        with pytest.raises(SolveNotConverged, match="backward error"):
+            solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(eigensolve, "eigsh", stalled)
+        with pytest.raises(SolveNotConverged):
+            solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
 
 
 class TestSelectNear:
@@ -128,6 +202,11 @@ class TestSpectrumProfile:
     def test_too_short(self):
         with pytest.raises(InsufficientSpectrum):
             spectrum_error_profile(EigenResult(np.array([1.0])), [1.0, 2.0])
+
+    def test_window_rejected(self):
+        window = solve_configuration("square", "neumann", "tensor", 2, 3, target=TWO_PI_SQ)
+        with pytest.raises(InsufficientSpectrum, match="full spectrum"):
+            spectrum_error_profile(window, exact_square_spectrum("neumann", K))
 
 
 class TestCrossChecks:
