@@ -17,7 +17,6 @@ from .polynomial import (
     try_solve_rational_system,
 )
 from .basis1d import (
-    ConstructionFailure,
     InvalidIndex,
     Phi1D,
     generate_phi,
@@ -26,13 +25,9 @@ from .basis1d import (
 from .basis2d import (
     BasisArray,
     DofKind,
-    InvalidTarget,
     SpanReport,
-    array_sum,
     classify_dofs,
     coordinates_in_basis,
-    product_table,
-    reindex,
     serendipity_basis,
     span_check,
     tensor_basis,

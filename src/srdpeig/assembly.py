@@ -45,7 +45,8 @@ class EmptySystem(RuntimeError):
 class LocalMatrices:
     """Exact rational mass/stiffness on the reference square.
 
-    Rows/columns follow the nonzero slots of the basis array in grid order.
+    Rows/columns follow the slots of `basis2d.slot_factors` in grid order,
+    which are the nonzero slots of the basis array.
     """
 
     family: str
@@ -63,8 +64,8 @@ class LocalMatrices:
 def reference_matrices(family: str, p: int) -> LocalMatrices:
     """Cached exact mass and stiffness Gram matrices of the family's order-p
     basis on [-1, 1]^2, built from 1D cross-Gram entries (module docstring)."""
-    slots = tuple(reference_basis(family, p).nonzero_slots())
     factors = slot_factors(family, p)
+    slots = tuple(sorted(factors))
 
     @lru_cache(maxsize=None)
     def phi(order: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
@@ -134,7 +135,6 @@ class GlobalSystem:
     M: sp.csr_matrix
     L: sp.csr_matrix
     free: np.ndarray
-    bc: str
     dofmap: DofMap | None = None
 
     @property
@@ -182,7 +182,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
             )
         M = M[free][:, free]
         L = L[free][:, free]
-    return GlobalSystem(M, L, free, bc, dofmap)
+    return GlobalSystem(M, L, free, dofmap)
 
 
 def constant_coefficient_vector(system: GlobalSystem) -> np.ndarray:

@@ -18,19 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import perm
 from typing import NamedTuple
 
-from .polynomial import Polynomial, rational_rank, try_solve_rational_system
+from .polynomial import Polynomial, solve_rational_system
 
 NODES = (Fraction(-1), Fraction(0), Fraction(1))
 
 
 class InvalidIndex(ValueError):
     """Function index outside 1..p+1."""
-
-
-class ConstructionFailure(RuntimeError):
-    """No polynomial of degree <= p satisfies the requested conditions."""
 
 
 class Condition(NamedTuple):
@@ -82,35 +79,23 @@ def interpolating_conditions(p: int, i: int) -> list[Condition]:
     return conditions
 
 
-def _solve_minimal_degree(conditions: list[Condition], p: int) -> Polynomial:
-    """Lowest-degree polynomial satisfying the conditions.
+def _solve_conditions(conditions: list[Condition]) -> Polynomial:
+    """The polynomial of degree < len(conditions) meeting every condition.
 
-    Tries degree d = (#conditions - 1) first and increments on failure; a
-    candidate is accepted only when the constraint system determines it
-    uniquely at that degree.
+    One exact solve of the square functional matrix, whose row for the
+    condition (node, order) holds the order-th derivative of x^m at the node
+    for m = 0 .. len(conditions) - 1.  Raises SingularSystem when the
+    conditions do not determine the polynomial.
     """
-    for d in range(len(conditions) - 1, p + 1):
-        matrix = []
-        for node, order, _ in conditions:
-            row = []
-            for m in range(d + 1):
-                if m < order:
-                    row.append(Fraction(0))
-                else:
-                    fall = Fraction(1)
-                    for t in range(order):
-                        fall *= m - t
-                    row.append(fall * node ** (m - order))
-            matrix.append(row)
-        coeffs = try_solve_rational_system(matrix, [c.value for c in conditions])
-        if coeffs is None:
-            continue
-        if rational_rank(matrix) < d + 1:
-            continue  # not unique at this degree
-        return Polynomial({(m, 0): c for m, c in enumerate(coeffs)})
-    raise ConstructionFailure(
-        f"no unique polynomial of degree <= {p} meets {len(conditions)} conditions"
-    )
+    matrix = [
+        [
+            perm(m, order) * node ** (m - order) if m >= order else 0
+            for m in range(len(conditions))
+        ]
+        for node, order, _ in conditions
+    ]
+    coeffs = solve_rational_system(matrix, [c.value for c in conditions])
+    return Polynomial({(m, 0): c for m, c in enumerate(coeffs)})
 
 
 @lru_cache(maxsize=None)
@@ -128,8 +113,7 @@ def generate_phi(p: int) -> Phi1D:
             ),
         )
     functions = tuple(
-        _solve_minimal_degree(interpolating_conditions(p, i), p)
-        for i in range(1, p + 2)
+        _solve_conditions(interpolating_conditions(p, i)) for i in range(1, p + 2)
     )
     return Phi1D(p, functions)
 

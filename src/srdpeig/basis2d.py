@@ -8,19 +8,16 @@ value at +1.  For p = 1 the array is 2 x 2: index 1 is the value at -1,
 index 2 the value at +1, and no midpoint functional exists (as in
 `basis1d`).  A zero polynomial marks an empty slot.
 
-The tensor-product basis of order p fills the whole (p+1) x (p+1) array
-with products phi_i(x) * phi_j(y).  The serendipity basis arises from
-signed sums of smaller product arrays, re-indexed into a common array size
-so that endpoint functionals stay attached to the last row/column.  The
-serendipity space of order p spans every polynomial of total degree <= p
-plus the two monomials x^p y and x y^p.
-
-`combination` gives the signed tables in closed form, for every p >= 1, by
-the sparse-grid combination technique (Griebel, Schneider & Zenger 1992):
-for p >= 2 the tables (p, 1), (1, p) and (a, p - a), 2 <= a <= p - 2, are
-added and the tables (a, b) with a + b = max(p - 1, 2) subtracted.  So
-every basis function is a signed sum of 1D x 1D products, which
-`slot_factors` lists per slot.
+Both families come from one rule.  `combination` lists signed 1D x 1D
+product tables (px, py); tensor is the single table (p, p).  For
+serendipity it follows the sparse-grid combination technique (Griebel,
+Schneider & Zenger 1992): for p >= 2 the tables (p, 1), (1, p) and
+(a, p - a), 2 <= a <= p - 2, are added and the tables (a, b) with
+a + b = max(p - 1, 2) subtracted.  `slot_factors` places each table in the
+order-p array, moving the endpoint +1 functional to the last row/column, and
+lists per slot the signed products phi_a^(px)(x) * phi_b^(py)(y) whose sum
+is the basis function there.  The serendipity space of order p spans every
+polynomial of total degree <= p plus the two monomials x^p y and x y^p.
 """
 
 from __future__ import annotations
@@ -37,28 +34,17 @@ SERENDIPITY = "serendipity"
 FAMILIES = (TENSOR, SERENDIPITY)
 
 
-class InvalidTarget(ValueError):
-    """Requested array size cannot hold the source array."""
-
-
 @dataclass(frozen=True)
 class BasisArray:
-    """Square array of basis polynomials; zero entries are empty slots.
-
-    `px` and `py` are the univariate orders of the two factors; for the
-    public bases both equal `p` and the array is (p+1) x (p+1).
-    """
+    """(p+1) x (p+1) array of basis polynomials; zero entries are empty slots."""
 
     family: str
     p: int
-    px: int
-    py: int
     entries: tuple[tuple[Polynomial, ...], ...]
 
     @property
     def size(self) -> int:
-        """Array order M: entries form an (M+1) x (M+1) grid (or rectangular
-        (px+1) x (py+1) for raw product tables)."""
+        """Array order M: entries form an (M+1) x (M+1) grid."""
         return len(self.entries) - 1
 
     def entry(self, i: int, j: int) -> Polynomial:
@@ -83,58 +69,10 @@ class BasisArray:
         return len(self.nonzero_slots())
 
 
-def product_table(px: int, py: int) -> BasisArray:
-    """Raw (px+1) x (py+1) array of products phi_i(x) * phi_j(y)."""
-    fx = generate_phi(px).functions
-    fy = generate_phi(py).functions
-    ys = [f.swap_xy() for f in fy]
-    entries = tuple(tuple(a * b for b in ys) for a in fx)
-    return BasisArray(TENSOR, max(px, py), px, py, entries)
-
-
-def tensor_basis(p: int) -> BasisArray:
-    """Order-p tensor-product basis: all (p+1)^2 products are present."""
-    if p < 1:
-        raise ValueError("order must be >= 1")
-    return product_table(p, p)
-
-
 def _embed(k: int, order: int, size: int) -> int:
     """Index in an order-`size` array of 1D function k of order `order`: the
     last function (endpoint +1) moves to the last index, the others stay."""
     return size + 1 if k == order + 1 else k
-
-
-def reindex(source: BasisArray, size: int) -> BasisArray:
-    """Embed a product array into an (size+1) x (size+1) array.
-
-    Slots keep their indices except that the last source row (x-endpoint +1)
-    moves to row size+1 and the last source column to column size+1; the
-    freed rows/columns are zero.
-    """
-    px, py = source.px, source.py
-    if size < max(px, py):
-        raise InvalidTarget(f"target order {size} < source orders ({px}, {py})")
-    zero = Polynomial.zero()
-    grid = [[zero] * (size + 1) for _ in range(size + 1)]
-    for i in range(1, px + 2):
-        for j in range(1, py + 2):
-            grid[_embed(i, px, size) - 1][_embed(j, py, size) - 1] = source.entry(i, j)
-    return BasisArray(source.family, size, size, size, tuple(map(tuple, grid)))
-
-
-def array_sum(terms: list[tuple[int, BasisArray]], size: int) -> BasisArray:
-    """Slotwise signed sum of product arrays, re-indexed to a common size."""
-    zero = Polynomial.zero()
-    grid = [[zero] * (size + 1) for _ in range(size + 1)]
-    for sign, term in terms:
-        embedded = reindex(term, size)
-        for i in range(size + 1):
-            for j in range(size + 1):
-                entry = embedded.entries[i][j]
-                if not entry.is_zero:
-                    grid[i][j] = grid[i][j] + sign * entry
-    return BasisArray(SERENDIPITY, size, size, size, tuple(map(tuple, grid)))
 
 
 def combination(family: str, p: int) -> list[tuple[int, tuple[int, int]]]:
@@ -177,6 +115,24 @@ def slot_factors(
     return factors
 
 
+def _basis_array(family: str, p: int) -> BasisArray:
+    """Order-p array of the family: each slot holds the signed sum of its
+    `slot_factors` products; slots without factors stay empty."""
+    zero = Polynomial.zero()
+    grid = [[zero] * (p + 1) for _ in range(p + 1)]
+    for (i, j), terms in slot_factors(family, p).items():
+        for sign, (px, a), (py, b) in terms:
+            fx = generate_phi(px).functions[a - 1]
+            fy = generate_phi(py).functions[b - 1].swap_xy()
+            grid[i - 1][j - 1] = grid[i - 1][j - 1] + sign * (fx * fy)
+    return BasisArray(family, p, tuple(map(tuple, grid)))
+
+
+def tensor_basis(p: int) -> BasisArray:
+    """Order-p tensor-product basis: all (p+1)^2 products are present."""
+    return _basis_array(TENSOR, p)
+
+
 @lru_cache(maxsize=None)
 def serendipity_basis(p: int) -> BasisArray:
     """Order-p serendipity basis as a (p+1) x (p+1) array with empty slots.
@@ -184,8 +140,7 @@ def serendipity_basis(p: int) -> BasisArray:
     Nonzero count is (p^2 + 3p + 6) / 2 for p >= 2 and 4 for p = 1 (where
     the two extra monomials x^p y and x y^p coincide).
     """
-    combo = combination(SERENDIPITY, p)
-    return array_sum([(sign, product_table(px, py)) for sign, (px, py) in combo], p)
+    return _basis_array(SERENDIPITY, p)
 
 
 def serendipity_dimension(p: int) -> int:
@@ -261,9 +216,6 @@ class SpanReport:
     @property
     def all_ok(self) -> bool:
         return all(ok for _, ok in self.results)
-
-    def failures(self) -> list[tuple[int, int]]:
-        return [mono for mono, ok in self.results if not ok]
 
 
 def target_monomials(family: str, p: int) -> list[tuple[int, int]]:

@@ -23,9 +23,10 @@ from .basis2d import (
     TENSOR,
     VERTEX,
     BasisArray,
-    classify_dofs,
+    classify_slot,
     serendipity_basis,
     serendipity_interior_count,
+    slot_factors,
     tensor_basis,
 )
 
@@ -118,11 +119,13 @@ def build_mesh(domain: str, N: int) -> Mesh:
             incident[key] = incident.get(key, 0) + 1
     edge_ids: dict[tuple[str, int, int], int] = {}
     edges: list[Edge] = []
+    boundary_edges: list[bool] = []
     for key in sorted(incident, key=lambda t: (t[2], t[1], t[0])):
         orient, ix, iy = key
         other = (ix + 1, iy) if orient == "h" else (ix, iy + 1)
         edge_ids[key] = len(edges)
         edges.append(Edge(vertex_ids[(ix, iy)], vertex_ids[other], orient))
+        boundary_edges.append(incident[key] == 1)
 
     elements = []
     for idx, (cx, cy) in enumerate(cells):
@@ -146,7 +149,6 @@ def build_mesh(domain: str, N: int) -> Mesh:
             )
         )
 
-    boundary_edges = [incident[key] == 1 for key in sorted(incident, key=lambda t: (t[2], t[1], t[0]))]
     boundary_vertices = [False] * len(vertex_ids)
     for edge, is_bdry in zip(edges, boundary_edges):
         if is_bdry:
@@ -187,10 +189,6 @@ class DofMap:
     element_dofs: list[list[int]]
     _boundary: np.ndarray = field(repr=False)
 
-    @property
-    def n_local(self) -> int:
-        return len(self.local_slots)
-
     def boundary_dofs(self) -> np.ndarray:
         """Sorted indices of DOFs attached to boundary vertices or edges
         (all functional orders k on a boundary edge included)."""
@@ -210,9 +208,8 @@ def build_dof_map(mesh: Mesh, family: str, p: int) -> DofMap:
     """Number the global DOFs of the family/order on the given mesh."""
     if p < 1:
         raise ValueError("order must be >= 1")
-    basis = reference_basis(family, p)
-    classified = classify_dofs(basis)
-    local_slots = [slot for slot, _ in classified]
+    local_slots = sorted(slot_factors(family, p))
+    classified = [(slot, classify_slot(slot, p)) for slot in local_slots]
 
     n_vert = mesh.n_vertices
     edge_base = n_vert

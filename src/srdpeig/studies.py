@@ -116,7 +116,6 @@ def solve_configuration(
     family: str,
     p: int,
     N: int,
-    with_vectors: bool = False,
     target: float | None = None,
 ) -> EigenResult:
     """Mesh, assemble, and solve one configuration end to end; with a
@@ -124,7 +123,7 @@ def solve_configuration(
     mesh = build_mesh(domain, N)
     dofmap = build_dof_map(mesh, family, p)
     system = assemble(mesh, dofmap, reference_matrices(family, p), bc)
-    return solve_generalized(system, with_vectors=with_vectors, target=target)
+    return solve_generalized(system, target=target)
 
 
 def run_study(spec: StudySpec) -> list[StudyRow]:

@@ -86,6 +86,16 @@ class TestLocalMatrices:
         np.linalg.cholesky(mass)  # raises if not PD
 
 
+@pytest.mark.parametrize("family", ["tensor", "serendipity"])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_study_slots_are_nonzero_slots(family, p):
+    """Reference matrices and DOF maps number the basis array's nonzero
+    slots, in grid order."""
+    slots = reference_basis(family, p).nonzero_slots()
+    assert list(reference_matrices(family, p).slots) == slots
+    assert build_dof_map(build_mesh("lshape", 1), family, p).local_slots == slots
+
+
 class TestScaling:
     def test_reference_side_is_two(self):
         lm = reference_matrices("tensor", 1)

@@ -6,24 +6,24 @@ from fractions import Fraction
 import pytest
 
 from reference_bases import REFERENCE_SERENDIPITY
+from srdpeig.basis1d import generate_phi
 from srdpeig.basis2d import (
     EDGE,
+    FAMILIES,
     INTERIOR,
     VERTEX,
-    InvalidTarget,
-    array_sum,
     basis_rank,
     classify_dofs,
     combination,
     coordinates_in_basis,
-    product_table,
-    reindex,
     serendipity_basis,
     serendipity_dimension,
     serendipity_interior_count,
+    slot_factors,
     span_check,
     tensor_basis,
 )
+from srdpeig.mesh import reference_basis
 from srdpeig.polynomial import Polynomial, X, Y
 
 H = Fraction(1, 2)
@@ -46,54 +46,20 @@ class TestTensor:
         assert tensor_basis(2).entry(2, 2) == (1 - X**2) * (1 - Y**2)
 
     @pytest.mark.parametrize("p", range(1, 7))
+    def test_entries_are_products(self, p):
+        phi = generate_phi(p).functions
+        basis = tensor_basis(p)
+        for i in range(1, p + 2):
+            for j in range(1, p + 2):
+                assert basis.entry(i, j) == phi[i - 1] * phi[j - 1].swap_xy()
+
+    @pytest.mark.parametrize("p", range(1, 7))
     def test_counts(self, p):
         assert tensor_basis(p).count_nonzero == (p + 1) ** 2
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_span_covers_full_grid(self, p):
         assert span_check(tensor_basis(p)).all_ok
-
-
-class TestReindex:
-    def test_corners_preserved(self):
-        embedded = reindex(product_table(1, 1), 2)
-        slots = set(embedded.nonzero_slots())
-        assert slots == {(1, 1), (1, 3), (3, 1), (3, 3)}
-
-    def test_rectangular_table(self):
-        embedded = reindex(product_table(2, 1), 2)
-        slots = set(embedded.nonzero_slots())
-        assert slots == {(1, 1), (2, 1), (3, 1), (1, 3), (2, 3), (3, 3)}
-
-    def test_identity_when_sizes_match(self):
-        basis = tensor_basis(2)
-        embedded = reindex(basis, 2)
-        assert embedded.entries == basis.entries
-
-    def test_rejects_too_small_target(self):
-        with pytest.raises(InvalidTarget):
-            reindex(product_table(3, 1), 2)
-
-
-class TestArraySum:
-    def test_quadratic_combination_count(self):
-        combo = array_sum(
-            [(+1, product_table(2, 1)), (+1, product_table(1, 2)), (-1, product_table(1, 1))],
-            2,
-        )
-        assert combo.count_nonzero == 8
-
-    def test_cancellation(self):
-        t = product_table(1, 1)
-        combo = array_sum([(+1, t), (+1, t), (-1, t)], 1)
-        assert combo.entries == t.entries
-
-    def test_corner_entry_matches_reference(self):
-        combo = array_sum(
-            [(+1, product_table(2, 1)), (+1, product_table(1, 2)), (-1, product_table(1, 1))],
-            2,
-        )
-        assert combo.entry(1, 1) == -Q * (X - 1) * (Y - 1) * (X + Y + 1)
 
 
 class TestSerendipity:
@@ -166,6 +132,15 @@ class TestSerendipity:
     def test_combination_rejects_bad_input(self, family, p):
         with pytest.raises(ValueError):
             combination(family, p)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("p", range(1, 9))
+def test_factor_slots_are_nonzero_slots(family, p):
+    """Every slot with factors holds a nonzero function: no combination
+    cancels a slot to zero, so the study path may number slots from
+    `slot_factors` without building the polynomials."""
+    assert sorted(slot_factors(family, p)) == reference_basis(family, p).nonzero_slots()
 
 
 class TestClassification:

@@ -34,9 +34,7 @@ FIVE_PI_SQ = 5 * math.pi**2
 
 def synthetic_system(L: np.ndarray, M: np.ndarray) -> GlobalSystem:
     n = L.shape[0]
-    return GlobalSystem(
-        sp.csr_matrix(M), sp.csr_matrix(L), np.arange(n), "neumann", None
-    )
+    return GlobalSystem(sp.csr_matrix(M), sp.csr_matrix(L), np.arange(n))
 
 
 class TestSolveGeneralized:
@@ -250,7 +248,7 @@ class TestInvariances:
             (np.ones(len(perm)), (np.arange(len(perm)), perm))
         ).tocsr()
         permuted = GlobalSystem(
-            P @ system.M @ P.T, P @ system.L @ P.T, system.free, system.bc, None
+            P @ system.M @ P.T, P @ system.L @ P.T, system.free
         )
         other = solve_generalized(permuted).eigenvalues
         assert np.abs((base - other) / np.maximum(np.abs(base), 1.0)).max() < 1e-10
@@ -265,7 +263,7 @@ class TestInvariances:
         rng = np.random.default_rng(1)
         scale = sp.diags(np.exp(rng.uniform(-2, 2, system.dimension)))
         scaled = GlobalSystem(
-            scale @ system.M @ scale, scale @ system.L @ scale, system.free, system.bc, None
+            scale @ system.M @ scale, scale @ system.L @ scale, system.free
         )
         other = solve_generalized(scaled).eigenvalues
         assert np.abs((base - other) / np.maximum(np.abs(base), 1.0)).max() < 1e-9
