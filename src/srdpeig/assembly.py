@@ -28,9 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis1d import generate_phi
-from .basis2d import coordinates_in_basis, slot_factors
-from .mesh import DofMap, Mesh, reference_basis
-from .polynomial import ONE, Polynomial
+from .basis2d import slot_factors
+from .mesh import DofMap, Mesh
+from .polynomial import Polynomial
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -135,7 +135,6 @@ class GlobalSystem:
     M: sp.csr_matrix
     L: sp.csr_matrix
     free: np.ndarray
-    dofmap: DofMap | None = None
 
     @property
     def dimension(self) -> int:
@@ -182,26 +181,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
             )
         M = M[free][:, free]
         L = L[free][:, free]
-    return GlobalSystem(M, L, free, dofmap)
-
-
-def constant_coefficient_vector(system: GlobalSystem) -> np.ndarray:
-    """Coefficients representing the constant function 1 on the free DOFs.
-
-    The exact coordinates of 1 in the reference basis are shared by all
-    elements (translation-only maps), so scattering them to the global
-    numbering is consistent.
-    """
-    dofmap = system.dofmap
-    basis = reference_basis(dofmap.family, dofmap.p)
-    coords = coordinates_in_basis(basis, ONE)
-    if coords is None:
-        raise ValueError("constant function is not in the basis span")
-    full = np.zeros(dofmap.total)
-    for gdofs in dofmap.element_dofs:
-        for a, g in enumerate(gdofs):
-            full[g] = float(coords[a])
-    return full[system.free]
+    return GlobalSystem(M, L, free)
 
 
 def write_matrix_coo(matrix: sp.spmatrix, path) -> None:

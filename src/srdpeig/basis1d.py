@@ -116,11 +116,3 @@ def generate_phi(p: int) -> Phi1D:
         _solve_conditions(interpolating_conditions(p, i)) for i in range(1, p + 2)
     )
     return Phi1D(p, functions)
-
-
-def check_conditions(phi: Polynomial, conditions: list[Condition]) -> bool:
-    """Exact verification that a polynomial satisfies every condition."""
-    return all(
-        phi.derivative("x", order)(node) == value
-        for node, order, value in conditions
-    )

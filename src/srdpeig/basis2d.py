@@ -23,11 +23,10 @@ polynomial of total degree <= p plus the two monomials x^p y and x y^p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .basis1d import generate_phi
-from .polynomial import Polynomial, rational_rank, try_solve_rational_system
+from .polynomial import Polynomial
 
 TENSOR = "tensor"
 SERENDIPITY = "serendipity"
@@ -143,15 +142,6 @@ def serendipity_basis(p: int) -> BasisArray:
     return _basis_array(SERENDIPITY, p)
 
 
-def serendipity_dimension(p: int) -> int:
-    """Number of serendipity basis functions of order p."""
-    if p < 1:
-        raise ValueError("order must be >= 1")
-    if p == 1:
-        return 4
-    return (p * p + 3 * p + 6) // 2
-
-
 def serendipity_interior_count(p: int) -> int:
     """Interior functions of the order-p serendipity element."""
     if p < 2:
@@ -195,65 +185,3 @@ def classify_slot(slot: tuple[int, int], p: int) -> DofKind:
     if j in ends:
         return DofKind(EDGE, side="bottom" if j == 1 else "top", k=i - 2)
     return DofKind(INTERIOR)
-
-
-def classify_dofs(basis: BasisArray) -> list[tuple[tuple[int, int], DofKind]]:
-    """Classify every nonzero slot of a basis array, in grid order."""
-    return [(slot, classify_slot(slot, basis.p)) for slot in basis.nonzero_slots()]
-
-
-# -- span checking ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpanReport:
-    """Per-monomial result of expressing target monomials in a basis."""
-
-    family: str
-    p: int
-    results: tuple[tuple[tuple[int, int], bool], ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(ok for _, ok in self.results)
-
-
-def target_monomials(family: str, p: int) -> list[tuple[int, int]]:
-    """Monomial exponents the order-p space of the family must span."""
-    if family == TENSOR:
-        return [(i, j) for i in range(p + 1) for j in range(p + 1)]
-    monos = [(i, j) for i in range(p + 1) for j in range(p + 1 - i)]
-    for extra in ((p, 1), (1, p)):
-        if extra not in monos:
-            monos.append(extra)
-    return monos
-
-
-def coordinates_in_basis(
-    basis: BasisArray, target: Polynomial
-) -> list[Fraction] | None:
-    """Exact coordinates of `target` in the basis functions (grid order).
-
-    Returns None when the target is not in the span.
-    """
-    funcs = basis.functions()
-    support = sorted({e for f in funcs for e in f.terms} | set(target.terms))
-    matrix = [[f.coefficient(*e) for f in funcs] for e in support]
-    rhs = [target.coefficient(*e) for e in support]
-    return try_solve_rational_system(matrix, rhs)
-
-
-def span_check(basis: BasisArray) -> SpanReport:
-    """Check every target monomial for exact representability in the basis."""
-    results = []
-    for i, j in target_monomials(basis.family, basis.p):
-        coords = coordinates_in_basis(basis, Polynomial.monomial(i, j))
-        results.append(((i, j), coords is not None))
-    return SpanReport(basis.family, basis.p, tuple(results))
-
-
-def basis_rank(basis: BasisArray) -> int:
-    """Exact rank of the coefficient matrix of the nonzero entries."""
-    funcs = basis.functions()
-    support = sorted({e for f in funcs for e in f.terms})
-    return rational_rank([[f.coefficient(*e) for e in support] for f in funcs])

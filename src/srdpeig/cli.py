@@ -7,16 +7,10 @@ import argparse
 import json
 import sys
 
-from .assembly import assemble, reference_matrices, write_matrix_coo
-from .basis2d import BasisArray
-from .mesh import build_dof_map, build_mesh, dump_mesh_text, reference_basis
-from .studies import (
-    FAMILIES,
-    StudySpec,
-    resolve_target,
-    run_study,
-    spectrum_report,
-)
+from .assembly import BOUNDARY_CONDITIONS, assemble, reference_matrices, write_matrix_coo
+from .basis2d import FAMILIES, BasisArray
+from .mesh import DOMAINS, build_dof_map, build_mesh, dump_mesh_text, reference_basis
+from .studies import StudySpec, resolve_target, run_study, spectrum_report
 
 
 def format_basis_text(basis: BasisArray) -> str:
@@ -115,11 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     study = sub.add_parser("study", help="run a refinement study")
-    study.add_argument("--domain", choices=("square", "lshape"), required=True)
-    study.add_argument("--bc", choices=("dirichlet", "neumann"), required=True)
-    study.add_argument(
-        "--family", choices=("tensor", "serendipity", "both"), required=True
-    )
+    study.add_argument("--domain", choices=DOMAINS, required=True)
+    study.add_argument("--bc", choices=BOUNDARY_CONDITIONS, required=True)
+    study.add_argument("--family", choices=FAMILIES + ("both",), required=True)
     study.add_argument("--sweep", choices=("p", "h"), required=True)
     study.add_argument(
         "--fixed",
@@ -135,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.set_defaults(func=_cmd_study)
 
     basis = sub.add_parser("basis", help="dump a reference basis catalog")
-    basis.add_argument("--family", choices=("tensor", "serendipity"), required=True)
+    basis.add_argument("--family", choices=FAMILIES, required=True)
     basis.add_argument("--p", type=int, required=True)
     basis.add_argument("--format", choices=("text", "records"), default="text")
     basis.set_defaults(func=_cmd_basis)
@@ -146,20 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--p", type=int, required=True)
     spectrum.add_argument("--n", type=int, required=True)
     spectrum.add_argument("--count", type=int, required=True)
-    spectrum.add_argument("--bc", choices=("dirichlet", "neumann"), default="neumann")
+    spectrum.add_argument("--bc", choices=BOUNDARY_CONDITIONS, default="neumann")
     spectrum.set_defaults(func=_cmd_spectrum)
 
     mesh = sub.add_parser("mesh", help="dump mesh entities as plain text")
-    mesh.add_argument("--domain", choices=("square", "lshape"), required=True)
+    mesh.add_argument("--domain", choices=DOMAINS, required=True)
     mesh.add_argument("--n", type=int, required=True)
     mesh.set_defaults(func=_cmd_mesh)
 
     matrices = sub.add_parser(
         "matrices", help="dump assembled matrices in coordinate text format"
     )
-    matrices.add_argument("--domain", choices=("square", "lshape"), required=True)
-    matrices.add_argument("--bc", choices=("dirichlet", "neumann"), required=True)
-    matrices.add_argument("--family", choices=("tensor", "serendipity"), required=True)
+    matrices.add_argument("--domain", choices=DOMAINS, required=True)
+    matrices.add_argument("--bc", choices=BOUNDARY_CONDITIONS, required=True)
+    matrices.add_argument("--family", choices=FAMILIES, required=True)
     matrices.add_argument("--p", type=int, required=True)
     matrices.add_argument("--n", type=int, required=True)
     matrices.add_argument("--out", required=True, help="output path prefix")

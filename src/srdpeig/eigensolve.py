@@ -6,14 +6,20 @@ Two paths, chosen from the input:
   nearest the target come from shift-invert Lanczos about it (ARPACK through
   `scipy.sparse.linalg.eigsh` with `sigma=target`) on the sparse matrices.
   A study point needs only the eigenvalue nearest its target, so nothing
-  else is computed.  Each returned pair must have a positive M-norm and a
-  backward error ||L v - lambda M v||_1 / ((||L||_1 + |lambda| ||M||_1)
-  ||v||_1) of at most `BACKWARD_ERROR_TOL`, else the solve raises.
+  else is computed.  Each returned pair must have a positive M-norm, and
+  its backward error ||L v - lambda M v||_1 / ((||L||_1 + |lambda| ||M||_1)
+  ||v||_1) is recorded in the result.
 * Full spectrum: with no target, or with at most `K` DOFs (ARPACK needs
-  more DOFs than requested pairs), the pencil is densified and reduced by a
-  Cholesky factorization M = C C^T to the congruent standard problem
-  C^{-1} L C^{-T}, which an orthogonal symmetric eigensolver handles.
-  Spectrum tables and the oracle tests use this path.
+  more DOFs than requested pairs), the pencil is densified and handed to
+  one LAPACK call, `scipy.linalg.eigh(L, M)`.  Spectrum tables and the
+  oracle tests use this path.
+
+The accuracy gate sits at selection: `select_near` raises when a pair it
+returns has a backward error above `BACKWARD_ERROR_TOL`.  The far members
+of a targeted window are not gated.  Shift-invert converges the values
+1/(lambda - target) relative to the largest one, so when the target sits
+very close to an eigenvalue, a far pair can lose digits that the selected
+pairs keep.
 
 Eigenvalues come back real and ascending on both paths.
 """
@@ -23,14 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, onenormest
 
 from .assembly import GlobalSystem
 
 #: Eigenpairs a targeted solve returns: a double eigenvalue plus one neighbour.
 K = 3
-#: Largest backward error a targeted eigenpair may have to be accepted.
+#: Largest backward error a selected eigenpair may have to be accepted.
 BACKWARD_ERROR_TOL = 1e-8
 
 
@@ -44,7 +50,7 @@ class InsufficientSpectrum(ValueError):
 
 
 class SolveNotConverged(RuntimeError):
-    """The targeted solve did not converge or returned an inaccurate pair."""
+    """The targeted solve did not converge, or a selected pair is inaccurate."""
 
 
 @dataclass(frozen=True)
@@ -52,13 +58,15 @@ class EigenResult:
     """Ascending eigenvalues with optional eigenvectors and the system size.
 
     `target` is None for a full spectrum; otherwise the eigenvalues are
-    only the window nearest that target.
+    only the window nearest that target, and `backward_error[k]` is the
+    backward error of pair k.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
     ndofs: int = 0
     target: float | None = None
+    backward_error: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -75,25 +83,15 @@ def solve_generalized(
         return EigenResult(np.empty(0))
     if target is not None and n > K:
         return _solve_near(system, target, with_vectors)
-    M = system.M.toarray()
-    L = system.L.toarray()
+    L, M = system.L.toarray(), system.M.toarray()
     try:
-        C = np.linalg.cholesky(M)
+        result = eigh(L, M, eigvals_only=not with_vectors)
     except np.linalg.LinAlgError as exc:
+        # M is eigh's B; its failed Cholesky reads "... of B is not positive definite"
+        if "positive definite" not in str(exc):
+            raise
         raise MassNotPD(f"mass matrix of dimension {n} is not positive definite") from exc
-    W = solve_triangular(C, L, lower=True)  # C^{-1} L
-    A = solve_triangular(C, W.T, lower=True)  # C^{-1} L^T C^{-T}
-    A = 0.5 * (A + A.T)
-    if with_vectors:
-        w, V = np.linalg.eigh(A)
-        vectors = solve_triangular(C.T, V, lower=False)
-    else:
-        w = np.linalg.eigvalsh(A)
-        vectors = None
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if vectors is not None:
-        vectors = vectors[:, order]
+    w, vectors = result if with_vectors else (result, None)
     return EigenResult(w, vectors, ndofs=n)
 
 
@@ -117,19 +115,15 @@ def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> Eige
     residual = system.L @ V - MV * w
     scale = onenormest(system.L) + np.abs(w) * onenormest(system.M)
     eta = np.abs(residual).sum(axis=0) / (scale * np.abs(V).sum(axis=0))
-    if not (eta <= BACKWARD_ERROR_TOL).all():
-        raise SolveNotConverged(
-            f"eigenpairs near {target} have backward error up to {eta.max():.3g}, "
-            f"above {BACKWARD_ERROR_TOL:g} (dimension {n})"
-        )
-    return EigenResult(w, V if with_vectors else None, ndofs=n, target=target)
+    return EigenResult(w, V if with_vectors else None, n, target, eta)
 
 
 def select_near(result: EigenResult, target: float, multiplicity: int = 1) -> list[float]:
     """The `multiplicity` eigenvalues closest to the target.
 
     Ties in distance break toward the smaller eigenvalue.  Returned values
-    are ascending.
+    are ascending.  Raises SolveNotConverged when a returned pair has a
+    recorded backward error above `BACKWARD_ERROR_TOL`.
     """
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
@@ -138,30 +132,13 @@ def select_near(result: EigenResult, target: float, multiplicity: int = 1) -> li
         raise InsufficientSpectrum(
             f"requested {multiplicity} eigenvalues near {target}, have {len(w)}"
         )
-    ranked = sorted(w, key=lambda lam: (abs(lam - target), lam))
-    return sorted(ranked[:multiplicity])
-
-
-def spectrum_error_profile(
-    result: EigenResult, exact: list[float] | np.ndarray
-) -> list[tuple[int, float, float, float]]:
-    """Index-wise pairing of the sorted computed and exact spectra.
-
-    Rows are (index, computed, exact, computed - exact) for the first
-    len(exact) eigenvalues.  A window of eigenvalues near a target has no
-    index from the bottom of the spectrum, so it raises InsufficientSpectrum.
-    """
-    if result.target is not None:
-        raise InsufficientSpectrum(
-            f"profile needs the full spectrum, have {len(result)} eigenvalues "
-            f"near {result.target}"
-        )
-    exact = np.asarray(exact, dtype=float)
-    if len(exact) > len(result.eigenvalues):
-        raise InsufficientSpectrum(
-            f"profile needs {len(exact)} eigenvalues, have {len(result.eigenvalues)}"
-        )
-    return [
-        (k, float(result.eigenvalues[k]), float(exact[k]), float(result.eigenvalues[k] - exact[k]))
-        for k in range(len(exact))
-    ]
+    ranked = sorted(range(len(w)), key=lambda k: (abs(w[k] - target), w[k]))
+    chosen = ranked[:multiplicity]
+    if result.backward_error is not None:
+        eta = result.backward_error[chosen]
+        if not (eta <= BACKWARD_ERROR_TOL).all():
+            raise SolveNotConverged(
+                f"eigenpairs near {target} have backward error up to {eta.max():.3g}, "
+                f"above {BACKWARD_ERROR_TOL:g} (dimension {result.ndofs})"
+            )
+    return sorted(w[k] for k in chosen)

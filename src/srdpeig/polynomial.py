@@ -82,10 +82,6 @@ class Polynomial:
     def degree_y(self) -> int:
         return max((j for _, j in self._terms), default=0)
 
-    @property
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self._terms), default=0)
-
     def coefficient(self, i: int, j: int) -> Fraction:
         return self._terms.get((i, j), Fraction(0))
 
@@ -296,32 +292,6 @@ def _eliminate(
     return rows, pivots
 
 
-def try_solve_rational_system(
-    matrix: Iterable[Iterable[Scalar]], rhs: Iterable[Scalar]
-) -> list[Fraction] | None:
-    """Solve A v = b exactly for a general rectangular rational system.
-
-    Returns one exact solution (free variables set to zero) or None when the
-    system is inconsistent.
-    """
-    rows = [[_coerce(a) for a in row] for row in matrix]
-    b = [_coerce(v) for v in rhs]
-    if len(rows) != len(b):
-        raise ValueError("matrix and right-hand side sizes differ")
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    aug = [row + [v] for row, v in zip(rows, b)]
-    aug, pivots = _eliminate(aug)
-    for k in range(len(pivots), len(aug)):
-        if aug[k][-1] != 0:
-            return None
-    solution = [Fraction(0)] * n_cols
-    for r, c in enumerate(pivots):
-        solution[c] = aug[r][-1]
-    return solution
-
-
 def solve_rational_system(
     matrix: Iterable[Iterable[Scalar]], rhs: Iterable[Scalar]
 ) -> list[Fraction]:
@@ -342,13 +312,3 @@ def solve_rational_system(
     for r, c in enumerate(pivots):
         solution[c] = aug[r][-1]
     return solution
-
-
-def rational_rank(matrix: Iterable[Iterable[Scalar]]) -> int:
-    """Exact rank of a rational matrix."""
-    rows = [[_coerce(a) for a in row] for row in matrix]
-    if not rows:
-        return 0
-    aug = [row + [Fraction(0)] for row in rows]
-    _, pivots = _eliminate(aug)
-    return len(pivots)

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths it checks: integrals use
 Gauss quadrature instead of the monomial rule, exact Gram matrices integrate
 whole 2D products instead of the separable 1D factors, eigenvalues come from
-Sturm bisection or separation of variables instead of LAPACK, and whole
+Sturm bisection or separation of variables instead of LAPACK, whole
 discrete spaces are rebuilt from raw monomials with pointwise continuity
-constraints.
+constraints, and exact ranks and coordinates come from an elimination of
+their own instead of the package's linear solver.
 """
 
 from __future__ import annotations
@@ -46,6 +47,66 @@ def exact_gram(funcs: list[Polynomial]) -> tuple[list[list[Fraction]], list[list
         [(fx * gx + fy * gy).integrate_box() for gx, gy in grads] for fx, fy in grads
     ]
     return mass, stiffness
+
+
+# -- exact rank, span, and coordinates ----------------------------------------
+
+
+def _echelon(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by exact Gauss-Jordan elimination; returns
+    (reduced rows, pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def exact_rank(matrix: list[list]) -> int:
+    """Exact rank of a rational matrix."""
+    return len(_echelon(matrix)[1])
+
+
+def _coefficient_rows(polys: list[Polynomial]) -> list[list[Fraction]]:
+    """One row of exact coefficients per polynomial, over their joint support."""
+    terms = [poly.terms for poly in polys]
+    support = sorted(set().union(*terms))
+    return [[t.get(e, Fraction(0)) for e in support] for t in terms]
+
+
+def polynomial_rank(polys: list[Polynomial]) -> int:
+    """Dimension of the span of the polynomials."""
+    return exact_rank(_coefficient_rows(polys))
+
+
+def spans(polys: list[Polynomial], exponents: list[tuple[int, int]]) -> bool:
+    """Whether every monomial x^i y^j, (i, j) in exponents, lies in the span."""
+    monomials = [Polynomial.monomial(i, j) for i, j in exponents]
+    return polynomial_rank(polys + monomials) == polynomial_rank(polys)
+
+
+def coordinates(polys: list[Polynomial], target: Polynomial) -> list[Fraction] | None:
+    """Exact c with sum c_k polys[k] == target (free coordinates 0), or None
+    when the target is outside the span."""
+    columns = _coefficient_rows(polys + [target])
+    augmented = [list(row) for row in zip(*columns)]
+    rows, pivots = _echelon(augmented)
+    if len(polys) in pivots:  # a pivot in the target column: inconsistent
+        return None
+    c = [Fraction(0)] * len(polys)
+    for r, k in enumerate(pivots):
+        c[k] = rows[r][-1]
+    return c
 
 
 def dirichlet_p1_eigenvalues_1d(N: int) -> np.ndarray:
@@ -165,7 +226,10 @@ def sturm_generalized_eigenvalues(L: np.ndarray, M: np.ndarray, tol: float = 1e-
 # -- brute-force discrete spaces ----------------------------------------------
 
 
-def _space_exponents(family: str, p: int) -> list[tuple[int, int]]:
+def space_exponents(family: str, p: int) -> list[tuple[int, int]]:
+    """Monomials x^i y^j that span the order-p space of the family: all
+    i, j <= p for tensor; total degree <= p plus x^p y and x y^p for
+    serendipity."""
     if family == "tensor":
         return [(i, j) for i in range(p + 1) for j in range(p + 1)]
     monos = {(i, j) for i in range(p + 1) for j in range(p + 1 - i)}
@@ -182,7 +246,7 @@ def bruteforce_square_spectrum(family: str, p: int, N: int, bc: str) -> np.ndarr
     """
     from scipy.linalg import eigh
 
-    exps = _space_exponents(family, p)
+    exps = space_exponents(family, p)
     nloc = len(exps)
     cells = [(cx, cy) for cy in range(N) for cx in range(N)]
     index = {c: k for k, c in enumerate(cells)}

@@ -5,16 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import exact_gram, gauss_box_integral
+from oracles import coordinates, exact_gram, gauss_box_integral
 from srdpeig.assembly import (
     EmptySystem,
     assemble,
-    constant_coefficient_vector,
     reference_matrices,
     scale_to_element,
     write_matrix_coo,
 )
-from srdpeig.basis2d import coordinates_in_basis
 from srdpeig.mesh import build_dof_map, build_mesh, reference_basis
 from srdpeig.polynomial import ONE, Polynomial
 
@@ -47,8 +45,7 @@ class TestLocalMatrices:
     def test_stiffness_row_sums_vanish(self, family, p):
         # gradients annihilate constants, and 1 lies in every family's span
         lm = reference_matrices(family, p)
-        basis = reference_basis(family, p)
-        coords = coordinates_in_basis(basis, ONE)
+        coords = coordinates(reference_basis(family, p).functions(), ONE)
         assert coords is not None
         for row in lm.stiffness_ref:
             assert sum(c * v for c, v in zip(coords, row)) == 0
@@ -171,7 +168,11 @@ class TestAssemble:
         mesh = build_mesh(domain, 2)
         dm = build_dof_map(mesh, family, 4)
         system = assemble(mesh, dm, reference_matrices(family, 4), "neumann")
-        c = constant_coefficient_vector(system)
+        # the exact coordinates of 1 in the reference basis, on every element
+        coords = coordinates(reference_basis(family, 4).functions(), ONE)
+        c = np.zeros(dm.total)
+        for gdofs in dm.element_dofs:
+            c[gdofs] = [float(v) for v in coords]
         residual = np.abs(system.L @ c).max()
         scale = np.abs(system.L.data).max()
         assert residual <= 1e-12 * scale
@@ -221,7 +222,7 @@ def test_interelement_trace_continuity(family, p):
 @pytest.mark.parametrize("p", range(1, 6))
 def test_constant_reconstruction(family, p):
     basis = reference_basis(family, p)
-    coords = coordinates_in_basis(basis, ONE)
+    coords = coordinates(basis.functions(), ONE)
     assert coords is not None
     combo = Polynomial.zero()
     for c, f in zip(coords, basis.functions()):

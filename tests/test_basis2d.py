@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import coordinates, polynomial_rank, space_exponents, spans
 from reference_bases import REFERENCE_SERENDIPITY
 from srdpeig.basis1d import generate_phi
 from srdpeig.basis2d import (
@@ -12,15 +13,11 @@ from srdpeig.basis2d import (
     FAMILIES,
     INTERIOR,
     VERTEX,
-    basis_rank,
-    classify_dofs,
+    classify_slot,
     combination,
-    coordinates_in_basis,
     serendipity_basis,
-    serendipity_dimension,
     serendipity_interior_count,
     slot_factors,
-    span_check,
     tensor_basis,
 )
 from srdpeig.mesh import reference_basis
@@ -32,6 +29,16 @@ Q = Fraction(1, 4)
 #: Corner and edge-midpoint sample points of the reference square.
 CORNERS = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
 MIDPOINTS = {"left": (-1, 0), "right": (1, 0), "bottom": (0, -1), "top": (0, 1)}
+
+
+def classify_dofs(basis):
+    """(slot, kind) of every nonzero slot of a basis array, in grid order."""
+    return [(slot, classify_slot(slot, basis.p)) for slot in basis.nonzero_slots()]
+
+
+def serendipity_dimension(p):
+    """Dimension of the order-p serendipity space, from its monomials."""
+    return len(space_exponents("serendipity", p))
 
 
 class TestTensor:
@@ -59,7 +66,8 @@ class TestTensor:
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_span_covers_full_grid(self, p):
-        assert span_check(tensor_basis(p)).all_ok
+        basis = tensor_basis(p)
+        assert spans(basis.functions(), space_exponents("tensor", p))
 
 
 class TestSerendipity:
@@ -102,12 +110,12 @@ class TestSerendipity:
     @pytest.mark.parametrize("p", range(1, 7))
     def test_span_and_rank(self, p):
         basis = serendipity_basis(p)
-        assert span_check(basis).all_ok
-        assert basis_rank(basis) == basis.count_nonzero
+        assert spans(basis.functions(), space_exponents("serendipity", p))
+        assert polynomial_rank(basis.functions()) == basis.count_nonzero
 
     def test_rejects_crossed_quartic_at_p2(self):
         target = Polynomial.monomial(2, 2)
-        assert coordinates_in_basis(serendipity_basis(2), target) is None
+        assert coordinates(serendipity_basis(2).functions(), target) is None
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_xy_swap_symmetry(self, p):
@@ -118,8 +126,8 @@ class TestSerendipity:
     def test_closed_form_p7(self):
         basis = serendipity_basis(7)
         assert basis.count_nonzero == serendipity_dimension(7) == 38
-        assert basis_rank(basis) == 38
-        assert span_check(basis).all_ok
+        assert polynomial_rank(basis.functions()) == 38
+        assert spans(basis.functions(), space_exponents("serendipity", 7))
 
     def test_closed_form_p8_count(self):
         assert serendipity_basis(8).count_nonzero == serendipity_dimension(8) == 47

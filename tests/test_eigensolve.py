@@ -1,5 +1,5 @@
-"""Generalized eigensolver: reduction correctness, selection, profiles, and
-independent cross-checks."""
+"""Generalized eigensolver: dense and targeted paths, selection and its
+accuracy gate, spectrum errors, and independent cross-checks."""
 
 import math
 
@@ -16,6 +16,7 @@ from oracles import (
 from srdpeig.assembly import GlobalSystem, assemble, reference_matrices
 import srdpeig.eigensolve as eigensolve
 from srdpeig.eigensolve import (
+    BACKWARD_ERROR_TOL,
     K,
     EigenResult,
     InsufficientSpectrum,
@@ -23,7 +24,6 @@ from srdpeig.eigensolve import (
     SolveNotConverged,
     select_near,
     solve_generalized,
-    spectrum_error_profile,
 )
 from srdpeig.mesh import build_dof_map, build_mesh
 from srdpeig.studies import TARGET_PRESETS, exact_square_spectrum, solve_configuration
@@ -40,7 +40,8 @@ def synthetic_system(L: np.ndarray, M: np.ndarray) -> GlobalSystem:
 class TestSolveGeneralized:
     def test_one_by_one(self):
         result = solve_generalized(synthetic_system(np.array([[4.0]]), np.array([[2.0]])))
-        # 4 / fl(sqrt 2) / fl(sqrt 2): three rounded operations, each within
+        # LAPACK reduces the pencil with the Cholesky factor fl(sqrt 2) of M
+        # and divides 4 by its square: three rounded operations, each within
         # eps/2 relative, so the exact 2 is allowed a 2 eps relative error.
         assert result.eigenvalues.shape == (1,)
         assert result.eigenvalues[0] == pytest.approx(2.0, rel=2 * np.finfo(float).eps, abs=0)
@@ -135,8 +136,34 @@ class TestTargetedSolve:
             return w * (1 + 1e-4), V
 
         monkeypatch.setattr(eigensolve, "eigsh", perturbed)
+        result = solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
         with pytest.raises(SolveNotConverged, match="backward error"):
-            solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
+            select_near(result, TWO_PI_SQ)
+
+    @pytest.mark.parametrize(
+        "pick, selected", [(np.argmin, True), (np.argmax, False)], ids=["nearest", "farthest"]
+    )
+    def test_gate_covers_selected_pairs_only(self, monkeypatch, pick, selected):
+        # perturb one pair of the window: the one nearest the target (which
+        # select_near returns) or the farthest (which it does not)
+        real = eigensolve.eigsh
+
+        def perturbed(*args, **kwargs):
+            w, V = real(*args, **kwargs)
+            w = w.copy()
+            w[pick(np.abs(w - kwargs["sigma"]))] *= 1 + 1e-4
+            return w, V
+
+        monkeypatch.setattr(eigensolve, "eigsh", perturbed)
+        window = solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
+        assert (window.backward_error > BACKWARD_ERROR_TOL).sum() == 1
+        if selected:
+            with pytest.raises(SolveNotConverged, match="backward error"):
+                select_near(window, TWO_PI_SQ)
+        else:
+            dense = solve_configuration("square", "dirichlet", "tensor", 2, 3)
+            ours = select_near(window, TWO_PI_SQ)
+            assert ours == pytest.approx(select_near(dense, TWO_PI_SQ), rel=1e-10, abs=0)
 
     def test_no_convergence_raises(self, monkeypatch):
         def stalled(*args, **kwargs):
@@ -178,17 +205,11 @@ class TestSelectNear:
 
 
 class TestSpectrumProfile:
-    def test_identical_spectra(self):
-        result = EigenResult(np.array([1.0, 2.0, 3.0]))
-        profile = spectrum_error_profile(result, [1.0, 2.0, 3.0])
-        assert all(row[3] == 0.0 for row in profile)
-
     def test_errors_grow_with_index(self):
         result = solve_configuration("square", "neumann", "tensor", 2, 3)
-        exact = exact_square_spectrum("neumann", 20)
-        profile = spectrum_error_profile(result, exact)
-        early = sum(row[3] for row in profile[1:6])
-        late = sum(row[3] for row in profile[15:20])
+        errors = result.eigenvalues[:20] - exact_square_spectrum("neumann", 20)
+        early = errors[1:6].sum()
+        late = errors[15:20].sum()
         assert late > early >= 0
 
     def test_multiplicity_two_pair(self):
@@ -196,15 +217,6 @@ class TestSpectrumProfile:
         lam1, lam2 = result.eigenvalues[1], result.eigenvalues[2]
         assert abs(lam1 - lam2) < 1e-9 * lam1
         assert abs(lam1 - math.pi**2) < 0.05
-
-    def test_too_short(self):
-        with pytest.raises(InsufficientSpectrum):
-            spectrum_error_profile(EigenResult(np.array([1.0])), [1.0, 2.0])
-
-    def test_window_rejected(self):
-        window = solve_configuration("square", "neumann", "tensor", 2, 3, target=TWO_PI_SQ)
-        with pytest.raises(InsufficientSpectrum, match="full spectrum"):
-            spectrum_error_profile(window, exact_square_spectrum("neumann", K))
 
 
 class TestCrossChecks:

@@ -30,6 +30,7 @@ class TestTargets:
     def test_presets(self):
         assert resolve_target("two_pi_sq") == TWO_PI_SQ
         assert resolve_target("lshape_neumann_1") == 1.4756218450
+        assert resolve_target("lshape_neumann_3") == math.pi**2
         assert resolve_target("lshape_neumann_4") == 11.389479398
 
     def test_float_literal(self):
