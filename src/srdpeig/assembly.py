@@ -4,7 +4,11 @@ Local mass and stiffness matrices are integrated exactly over [-1, 1]^2 in
 rational arithmetic; floats appear only when the matrices are scaled onto a
 physical element of side h.  Under the map from the reference square to a
 square of side h, mass entries pick up a factor (h/2)^2 while stiffness
-entries are unchanged (the gradient and area factors cancel in 2D).
+entries are unchanged (the gradient and area factors cancel in 2D).  Each
+float entry is the exact scaled value rounded once: a mass entry a/b with
+(h/2)^2 = fn/fd is the integer true division (a fn) / (b fd), which Python
+rounds correctly, and the h-independent stiffness is converted once per
+cached reference matrix.
 
 Both families share one separable path.  Every basis function is a signed
 sum of products phi_a(x) phi_b(y) of 1D functions (`basis2d.slot_factors`),
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +62,14 @@ class LocalMatrices:
     @property
     def n(self) -> int:
         return len(self.slots)
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        """Read-only float stiffness, rounded once from `stiffness_ref`; it
+        holds for every element side h."""
+        out = np.array([[float(v) for v in row] for row in self.stiffness_ref])
+        out.flags.writeable = False
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -108,21 +120,20 @@ def scale_to_element(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float (mass, stiffness) for a physical square of side h.
 
-    Scaling is applied in exact arithmetic before the single rounding to
-    float64.
+    Each mass entry a/b is scaled by (h/2)^2 = fn/fd and rounded once, as
+    the integer true division (a fn) / (b fd); this equals
+    float(Fraction(a, b) * (h/2)^2) bit for bit.  The stiffness is the
+    read-only `lm.stiffness`, converted once per reference matrix.
     """
     h = Fraction(h)
     if h <= 0:
         raise ValueError("element side must be positive")
     factor = (h / 2) ** 2
-    n = lm.n
-    mass = np.empty((n, n))
-    stiff = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            mass[a, b] = float(lm.mass_ref[a][b] * factor)
-            stiff[a, b] = float(lm.stiffness_ref[a][b])
-    return mass, stiff
+    fn, fd = factor.numerator, factor.denominator
+    mass = np.array(
+        [[(m.numerator * fn) / (m.denominator * fd) for m in row] for row in lm.mass_ref]
+    )
+    return mass, lm.stiffness
 
 
 @dataclass(frozen=True)

@@ -266,49 +266,32 @@ Y = Polynomial.monomial(0, 1)
 ONE = Polynomial.constant(1)
 
 
-def _eliminate(
-    rows: list[list[Fraction]],
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce an augmented matrix in place; return (rows, pivot columns)."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) - 1 if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((k for k in range(r, n_rows) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(n_rows):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
-
-
 def solve_rational_system(
     matrix: Iterable[Iterable[Scalar]], rhs: Iterable[Scalar]
 ) -> list[Fraction]:
-    """Solve a square nonsingular rational system exactly.
+    """Solve a square nonsingular rational system exactly by Gauss-Jordan
+    elimination on the augmented rows.
 
     Raises SingularSystem when the matrix is rank deficient, which in basis
     construction signals inconsistent interpolation conditions.
     """
     rows = [[_coerce(a) for a in row] for row in matrix]
-    if any(len(row) != len(rows) for row in rows):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     b = [_coerce(v) for v in rhs]
+    if len(b) != n:
+        raise ValueError("right-hand side length must match the matrix")
     aug = [row + [v] for row, v in zip(rows, b)]
-    aug, pivots = _eliminate(aug)
-    if len(pivots) != len(rows):
-        raise SingularSystem(f"matrix is singular (rank {len(pivots)} of {len(rows)})")
-    solution = [Fraction(0)] * len(rows)
-    for r, c in enumerate(pivots):
-        solution[c] = aug[r][-1]
-    return solution
+    for c in range(n):
+        pivot = next((k for k in range(c, n) if aug[k][c] != 0), None)
+        if pivot is None:
+            raise SingularSystem(f"matrix is singular (no pivot in column {c} of {n})")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [v * inv for v in aug[c]]
+        for k in range(n):
+            if k != c and aug[k][c] != 0:
+                f = aug[k][c]
+                aug[k] = [a - f * v for a, v in zip(aug[k], aug[c])]
+    return [row[-1] for row in aug]

@@ -30,7 +30,7 @@ from .eigensolve import (
     select_near,
     solve_generalized,
 )
-from .mesh import DOMAINS, SQUARE, build_dof_map, build_mesh
+from .mesh import DOMAINS, SQUARE, Mesh, build_dof_map, build_mesh
 from .svgplot import line_chart
 
 logger = logging.getLogger(__name__)
@@ -121,7 +121,12 @@ def solve_configuration(
 ) -> EigenResult:
     """Mesh, assemble, and solve one configuration end to end; with a
     target, solve only for the eigenvalues nearest it."""
-    mesh = build_mesh(domain, N)
+    return _solve_on_mesh(build_mesh(domain, N), bc, family, p, target)
+
+
+def _solve_on_mesh(
+    mesh: Mesh, bc: str, family: str, p: int, target: float | None
+) -> EigenResult:
     dofmap = build_dof_map(mesh, family, p)
     system = assemble(mesh, dofmap, reference_matrices(family, p), bc)
     return solve_generalized(system, target=target)
@@ -133,14 +138,15 @@ def run_study(spec: StudySpec) -> list[StudyRow]:
     Points whose Dirichlet system is empty (or whose spectrum cannot serve
     the target) are skipped and logged.  A solve or a selected pair that
     fails its accuracy checks (SolveNotConverged, MassNotPD) raises.
+    Each distinct mesh is built once and shared by every family and order.
     """
+    points = spec.points()
+    meshes = {N: build_mesh(spec.domain, N) for N in sorted({N for _, N in points})}
     rows: list[StudyRow] = []
     for family in spec.families:
-        for p, N in spec.points():
+        for p, N in points:
             try:
-                result = solve_configuration(
-                    spec.domain, spec.bc, family, p, N, target=spec.target
-                )
+                result = _solve_on_mesh(meshes[N], spec.bc, family, p, spec.target)
                 lam = select_near(result, spec.target)[0]
             except (EmptySystem, InsufficientSpectrum) as exc:
                 logger.warning(
@@ -258,9 +264,10 @@ def spectrum_report(
     if domain != SQUARE:
         raise ValueError("exact spectrum is only available on the square domain")
     exact = exact_square_spectrum(bc, exact_count)
+    mesh = build_mesh(domain, N)
     computed: dict[str, np.ndarray] = {}
     for family in families:
-        result = solve_configuration(domain, bc, family, p, N)
+        result = _solve_on_mesh(mesh, bc, family, p, None)
         if len(result) < exact_count:
             raise InsufficientSpectrum(
                 f"{family} p={p} N={N} yields {len(result)} eigenvalues, "

@@ -115,6 +115,29 @@ class TestScaling:
         with pytest.raises(ValueError):
             scale_to_element(reference_matrices("tensor", 1), 0)
 
+    @pytest.mark.parametrize("family", ["tensor", "serendipity"])
+    @pytest.mark.parametrize("p", range(1, 9))
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 7, 16])
+    def test_matches_fraction_oracle_bitwise(self, family, p, N):
+        # at N = 3, 5, 7 the factor (h/2)^2 is not a power of two, so
+        # multiplying already-rounded floats would round twice
+        lm = reference_matrices(family, p)
+        factor = (Fraction(1, N) / 2) ** 2
+        mass, stiff = scale_to_element(lm, Fraction(1, N))
+        want_mass = np.array([[float(v * factor) for v in row] for row in lm.mass_ref])
+        want_stiff = np.array([[float(v) for v in row] for row in lm.stiffness_ref])
+        assert mass.dtype == stiff.dtype == np.float64
+        assert np.array_equal(mass, want_mass)
+        assert np.array_equal(stiff, want_stiff)
+
+    def test_stiffness_is_shared_and_read_only(self):
+        lm = reference_matrices("tensor", 2)
+        _, s1 = scale_to_element(lm, Fraction(1, 3))
+        _, s2 = scale_to_element(lm, Fraction(1, 7))
+        assert s1 is s2
+        with pytest.raises(ValueError):
+            s1[0, 0] = 0.0
+
 
 class TestAssemble:
     def test_micro_dirichlet_system(self):

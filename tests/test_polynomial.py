@@ -111,6 +111,10 @@ class TestSolve:
         with pytest.raises(SingularSystem):
             solve_rational_system([[1, 1], [2, 2]], [1, 1])
 
+    def test_rhs_length_must_match(self):
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_rational_system([[1, 0], [0, 1]], [1])
+
     def test_rank(self):
         assert exact_rank([[1, 2], [2, 4]]) == 1
         assert exact_rank([[1, 0], [0, 1]]) == 2

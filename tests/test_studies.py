@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import srdpeig.studies as studies
 from srdpeig.mesh import build_mesh, dof_totals
 from srdpeig.eigensolve import InsufficientSpectrum
 from srdpeig.studies import (
@@ -101,6 +102,28 @@ class TestRunStudy:
         assert tensor[1] == ser[1]
         for p in range(2, 7):
             assert ser[p] < tensor[p]
+
+    @pytest.mark.parametrize("sweep, fixed, meshes", [("p", 2, 1), ("h", 2, 5)])
+    def test_each_mesh_built_once(self, monkeypatch, sweep, fixed, meshes):
+        built = []
+        real = studies.build_mesh
+
+        def counted(domain, N):
+            built.append(N)
+            return real(domain, N)
+
+        monkeypatch.setattr(studies, "build_mesh", counted)
+        spec = StudySpec(
+            domain="square",
+            bc="neumann",
+            families=("tensor", "serendipity"),
+            target=TWO_PI_SQ,
+            sweep=sweep,
+            fixed=fixed,
+        )
+        rows = run_study(spec)
+        assert len(built) == meshes == len(set(built))
+        assert len(rows) == 2 * len(spec.points())
 
     def test_large_mesh_dof_ratio(self):
         # at p = 6 the per-element ratio is 30/49; globally the shared
