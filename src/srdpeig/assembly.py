@@ -15,7 +15,10 @@ sum of products phi_a(x) phi_b(y) of 1D functions (`basis2d.slot_factors`),
 so each mass entry is a signed sum of products Gx * Gy of exact 1D
 cross-Gram entries G = int phi_a phi_b, and each stiffness entry one of
 Sx * Gy + Gx * Sy with S = int phi_a' phi_b' (sum factorization).  The
-tensor family is the single-product case.
+tensor family is the single-product case.  The sums run in integers: every
+1D table G, S is put over one common denominator D, each entry is a Python
+int sum of signed products, and one `Fraction(sum, D^2)` is made per entry
+at the end.
 
 Edge derivative DOFs are interpreted in reference-element units and are not
 rescaled per element: on a uniform mesh both elements sharing an edge use
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +38,6 @@ import scipy.sparse as sp
 from .basis1d import generate_phi
 from .basis2d import slot_factors
 from .mesh import DofMap, Mesh
-from .polynomial import Polynomial
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -72,44 +75,80 @@ class LocalMatrices:
         return out
 
 
+def _line_grams(
+    orders: list[int],
+) -> tuple[dict[tuple[int, int], int], list[list[int]], list[list[int]], int]:
+    """Integer 1D cross-Gram tables of every `generate_phi` function of the
+    given orders, over one common denominator.
+
+    Returns (index, G, S, D): index[q, a] numbers function a of order q, and
+    over [-1, 1], int phi_u phi_v = G[u][v] / D and int phi_u' phi_v' =
+    S[u][v] / D.  Each phi is sum_k n_k x^k / c with integer n_k and one c
+    for all of them, and int x^m = w_m / w for even m with w the lcm of the
+    odd numbers up to 2 max(orders) + 1, so D = c^2 w.
+    """
+    index: dict[tuple[int, int], int] = {}
+    funcs = []
+    for q in orders:
+        for a, f in enumerate(generate_phi(q).functions, start=1):
+            index[q, a] = len(funcs)
+            funcs.append(f.terms)
+    c = lcm(*(v.denominator for terms in funcs for v in terms.values()))
+    coeffs = [
+        [(k, v.numerator * (c // v.denominator)) for (k, _), v in terms.items()]
+        for terms in funcs
+    ]
+    top = 2 * max(orders)
+    w = lcm(*range(1, top + 2, 2))
+    moment = [2 * w // (m + 1) if m % 2 == 0 else 0 for m in range(top + 1)]
+
+    n = len(coeffs)
+    gram = [[0] * n for _ in range(n)]
+    slope = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u, n):
+            g = s = 0
+            for k, a in coeffs[u]:
+                for l, b in coeffs[v]:
+                    g += a * b * moment[k + l]
+                    if k and l:
+                        s += k * l * a * b * moment[k + l - 2]
+            gram[u][v] = gram[v][u] = g
+            slope[u][v] = slope[v][u] = s
+    return index, gram, slope, c * c * w
+
+
 @lru_cache(maxsize=None)
 def reference_matrices(family: str, p: int) -> LocalMatrices:
     """Cached exact mass and stiffness Gram matrices of the family's order-p
-    basis on [-1, 1]^2, built from 1D cross-Gram entries (module docstring)."""
+    basis on [-1, 1]^2 (module docstring).
+
+    Each entry is summed as a Python int over the 1D tables of `_line_grams`
+    and becomes one `Fraction` over D^2 at the end, which reduces it to the
+    same canonical value a rational sum would give.
+    """
     factors = slot_factors(family, p)
     slots = tuple(sorted(factors))
-
-    @lru_cache(maxsize=None)
-    def phi(order: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
-        funcs = generate_phi(order).functions
-        return funcs, tuple(f.derivative("x") for f in funcs)
-
-    @lru_cache(maxsize=None)
-    def line(u: tuple[int, int], v: tuple[int, int]) -> tuple[Fraction, Fraction]:
-        # (int phi_u phi_v, int phi_u' phi_v') over [-1, 1]; the box integral
-        # of a function of x alone is twice its line integral.
-        (fu, dfu), (fv, dfv) = phi(u[0]), phi(v[0])
-        a, b = u[1] - 1, v[1] - 1
-        return (
-            (fu[a] * fv[b]).integrate_box() / 2,
-            (dfu[a] * dfv[b]).integrate_box() / 2,
-        )
+    orders = sorted(
+        {q for terms in factors.values() for _, (qx, _), (qy, _) in terms for q in (qx, qy)}
+    )
+    index, gram, slope, D = _line_grams(orders)
+    rows = [[(sign, index[x], index[y]) for sign, x, y in factors[slot]] for slot in slots]
 
     k = len(slots)
     mass = [[Fraction(0)] * k for _ in range(k)]
     stiff = [[Fraction(0)] * k for _ in range(k)]
     for r in range(k):
         for c in range(r, k):
-            m_rc = s_rc = Fraction(0)
-            for s1, x1, y1 in factors[slots[r]]:
-                for s2, x2, y2 in factors[slots[c]]:
-                    gx, sx = line(x1, x2)
-                    gy, sy = line(y1, y2)
-                    sign = s1 * s2
-                    m_rc += sign * gx * gy
-                    s_rc += sign * (sx * gy + gx * sy)
-            mass[r][c] = mass[c][r] = m_rc
-            stiff[r][c] = stiff[c][r] = s_rc
+            m_rc = s_rc = 0
+            for s1, x1, y1 in rows[r]:
+                gx1, sx1, gy1, sy1 = gram[x1], slope[x1], gram[y1], slope[y1]
+                for s2, x2, y2 in rows[c]:
+                    gx, gy = gx1[x2], gy1[y2]
+                    m_rc += s1 * s2 * gx * gy
+                    s_rc += s1 * s2 * (sx1[x2] * gy + gx * sy1[y2])
+            mass[r][c] = mass[c][r] = Fraction(m_rc, D * D)
+            stiff[r][c] = stiff[c][r] = Fraction(s_rc, D * D)
     return LocalMatrices(
         family, p, slots, tuple(map(tuple, mass)), tuple(map(tuple, stiff))
     )

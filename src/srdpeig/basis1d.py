@@ -45,12 +45,6 @@ class Phi1D:
     p: int
     functions: tuple[Polynomial, ...]
 
-    def phi(self, i: int) -> Polynomial:
-        """Basis function with 1-based index i in 1..p+1."""
-        if not 1 <= i <= self.p + 1:
-            raise InvalidIndex(f"index {i} outside 1..{self.p + 1}")
-        return self.functions[i - 1]
-
     def __len__(self) -> int:
         return len(self.functions)
 

@@ -41,11 +41,6 @@ class BasisArray:
     p: int
     entries: tuple[tuple[Polynomial, ...], ...]
 
-    @property
-    def size(self) -> int:
-        """Array order M: entries form an (M+1) x (M+1) grid."""
-        return len(self.entries) - 1
-
     def entry(self, i: int, j: int) -> Polynomial:
         """Entry at 1-based slot (i, j)."""
         return self.entries[i - 1][j - 1]
@@ -58,10 +53,6 @@ class BasisArray:
             for j, poly in enumerate(row)
             if not poly.is_zero
         ]
-
-    def functions(self) -> list[Polynomial]:
-        """Nonzero entries in grid order."""
-        return [self.entry(i, j) for i, j in self.nonzero_slots()]
 
     @property
     def count_nonzero(self) -> int:

@@ -9,7 +9,9 @@ Two paths, chosen from the input:
   else is computed.  Each returned pair must have a positive M-norm, and
   its backward error ||L v - lambda M v||_1 / ((||L||_1 + |lambda| ||M||_1)
   ||v||_1) is recorded in the result.  The matrix 1-norms are exact (the
-  largest absolute column sum of the sparse matrix), not estimates.
+  largest absolute column sum of the sparse matrix), not estimates.  A
+  target at which L - target * M is exactly singular in floating point
+  raises `SingularShift`.
 * Full spectrum: with no target, or with at most `K` DOFs (ARPACK needs
   more DOFs than requested pairs), the pencil is densified and handed to
   one LAPACK call, `scipy.linalg.eigh(L, M)`.  Spectrum tables and the
@@ -52,6 +54,11 @@ class InsufficientSpectrum(ValueError):
 
 class SolveNotConverged(RuntimeError):
     """The targeted solve did not converge, or a selected pair is inaccurate."""
+
+
+class SingularShift(RuntimeError):
+    """L - target * M is exactly singular in floating point, so shift-invert
+    about the target cannot factor it."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,14 @@ def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> Eige
     except ArpackNoConvergence as exc:
         raise SolveNotConverged(
             f"shift-invert solve about {target} did not converge (dimension {n})"
+        ) from exc
+    except RuntimeError as exc:
+        # SuperLU's message when L - sigma M has an exactly zero pivot
+        if "exactly singular" not in str(exc):
+            raise
+        raise SingularShift(
+            f"shift-invert about {target} failed: L - sigma M is exactly "
+            f"singular (dimension {n})"
         ) from exc
     order = np.argsort(w, kind="stable")
     w, V = w[order], V[:, order]

@@ -189,11 +189,6 @@ class DofMap:
     element_dofs: list[list[int]]
     _boundary: np.ndarray = field(repr=False)
 
-    def boundary_dofs(self) -> np.ndarray:
-        """Sorted indices of DOFs attached to boundary vertices or edges
-        (all functional orders k on a boundary edge included)."""
-        return self._boundary.copy()
-
     def free_dofs(self) -> np.ndarray:
         return np.setdiff1d(np.arange(self.total), self._boundary)
 

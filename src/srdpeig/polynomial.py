@@ -74,17 +74,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def degree_x(self) -> int:
-        return max((i for i, _ in self._terms), default=0)
-
-    @property
-    def degree_y(self) -> int:
-        return max((j for _, j in self._terms), default=0)
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
@@ -164,18 +153,6 @@ class Polynomial:
                     terms[(i, j - 1)] = c * j
             out = _wrap(terms)
         return out
-
-    def integrate_box(self) -> Fraction:
-        """Exact integral over the reference square [-1, 1]^2.
-
-        Monomial rule: the integral of x^i y^j vanishes when i or j is odd
-        and equals 4 / ((i+1)(j+1)) otherwise.
-        """
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            if i % 2 == 0 and j % 2 == 0:
-                total += c * Fraction(4, (i + 1) * (j + 1))
-        return total
 
     def __call__(self, x0: Scalar, y0: Scalar = 0) -> Fraction:
         """Exact evaluation at a rational point (y0 defaults to 0)."""

@@ -80,6 +80,8 @@ class StudySpec:
     plot_path: str | Path | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.target):
+            raise ValueError(f"target must be finite, got {self.target}")
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.bc not in BOUNDARY_CONDITIONS:

@@ -1,16 +1,18 @@
 """Independent verification routines for the test suite.
 
-Everything here deliberately avoids the code paths it checks: integrals use
-Gauss quadrature instead of the monomial rule, exact Gram matrices integrate
-whole 2D products instead of the separable 1D factors, eigenvalues come from
-Sturm bisection or separation of variables instead of LAPACK, whole
-discrete spaces are rebuilt from raw monomials with pointwise continuity
-constraints, and exact ranks and coordinates come from an elimination of
-their own instead of the package's linear solver.
+Everything here deliberately avoids the code paths it checks: float
+integrals use Gauss quadrature, exact Gram matrices integrate whole 2D
+products by the monomial rule instead of summing the package's integer 1D
+cross-Gram tables, eigenvalues come from Sturm bisection or separation of
+variables instead of LAPACK, whole discrete spaces are rebuilt from raw
+monomials with pointwise continuity constraints, and exact ranks and
+coordinates come from an elimination of their own instead of the package's
+linear solver.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -38,13 +40,42 @@ def gauss_box_integral(poly: Polynomial, n: int = 9) -> float:
     return float((eval_float(poly, xg, yg) * wg).sum())
 
 
+def basis_functions(basis) -> list[Polynomial]:
+    """Nonzero entries of a basis array in grid order."""
+    return [f for row in basis.entries for f in row if not f.is_zero]
+
+
+def matrix_digest(lm) -> str:
+    """SHA-256 of the exact Fraction entries of a LocalMatrices, row-major:
+    the formula of the benchmark's `workloads.matrix_digest`."""
+    h = hashlib.sha256(repr(lm.slots).encode())
+    for matrix in (lm.mass_ref, lm.stiffness_ref):
+        for row in matrix:
+            h.update(",".join(f"{v.numerator}/{v.denominator}" for v in row).encode())
+            h.update(b";")
+    return h.hexdigest()
+
+
+def integrate_box(poly: Polynomial) -> Fraction:
+    """Exact integral over the reference square [-1, 1]^2.
+
+    Monomial rule: the integral of x^i y^j vanishes when i or j is odd
+    and equals 4 / ((i+1)(j+1)) otherwise.
+    """
+    total = Fraction(0)
+    for (i, j), c in poly.terms.items():
+        if i % 2 == 0 and j % 2 == 0:
+            total += c * Fraction(4, (i + 1) * (j + 1))
+    return total
+
+
 def exact_gram(funcs: list[Polynomial]) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     """Exact mass and stiffness Gram matrices over [-1, 1]^2, each entry
-    integrated as one 2D product by `Polynomial.integrate_box`."""
+    integrated as one 2D product by `integrate_box`."""
     grads = [(f.derivative("x"), f.derivative("y")) for f in funcs]
-    mass = [[(f * g).integrate_box() for g in funcs] for f in funcs]
+    mass = [[integrate_box(f * g) for g in funcs] for f in funcs]
     stiffness = [
-        [(fx * gx + fy * gy).integrate_box() for gx, gy in grads] for fx, fy in grads
+        [integrate_box(fx * gx + fy * gy) for gx, gy in grads] for fx, fy in grads
     ]
     return mass, stiffness
 

@@ -1,11 +1,19 @@
 """Reference matrices, scaling, global assembly, and conformity checks."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import coordinates, exact_gram, gauss_box_integral
+from oracles import (
+    basis_functions,
+    coordinates,
+    exact_gram,
+    gauss_box_integral,
+    matrix_digest,
+)
 from srdpeig.assembly import (
     EmptySystem,
     assemble,
@@ -17,6 +25,22 @@ from srdpeig.mesh import build_dof_map, build_mesh, reference_basis
 from srdpeig.polynomial import ONE, Polynomial
 
 H = Fraction(1, 2)
+
+#: Digests of the exact matrices at p = 1..6, written when the benchmark
+#: reference was made.
+REFERENCE_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text(
+        encoding="utf-8"
+    )
+)["digests"]
+#: Digests at p = 7, 8, computed by the rational-sum build that preceded
+#: the integer one.
+HIGH_ORDER_DIGESTS = {
+    "tensor/p7": "e62711c850d0e0eab07909491653677419e1f1c75ffa10d83320bad40aa43bb7",
+    "tensor/p8": "d6df2493d95a2289946fef38da303d59b8d77d98ce2c391d480242e34fb76de4",
+    "serendipity/p7": "799b0c0ac04a88e5fbd5c87efd0cb2ff6cfa1d0030f155c7a52fcb943f403030",
+    "serendipity/p8": "1c079e5fd1546b7a8b06901498d94f06becceaf87e97f8c1a1480ac35e188402",
+}
 
 
 class TestLocalMatrices:
@@ -41,11 +65,18 @@ class TestLocalMatrices:
         assert lm.stiffness_ref[d][opp] == Fraction(-1, 3)
 
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_exact_digest(self, family, p):
+        key = f"{family}/p{p}"
+        want = REFERENCE_DIGESTS[key] if p <= 6 else HIGH_ORDER_DIGESTS[key]
+        assert matrix_digest(reference_matrices(family, p)) == want
+
+    @pytest.mark.parametrize("family", ["tensor", "serendipity"])
     @pytest.mark.parametrize("p", range(1, 7))
     def test_stiffness_row_sums_vanish(self, family, p):
         # gradients annihilate constants, and 1 lies in every family's span
         lm = reference_matrices(family, p)
-        coords = coordinates(reference_basis(family, p).functions(), ONE)
+        coords = coordinates(basis_functions(reference_basis(family, p)), ONE)
         assert coords is not None
         for row in lm.stiffness_ref:
             assert sum(c * v for c, v in zip(coords, row)) == 0
@@ -56,7 +87,7 @@ class TestLocalMatrices:
         lm = reference_matrices(family, p)
         basis = reference_basis(family, p)
         assert lm.slots == tuple(basis.nonzero_slots())
-        mass, stiffness = exact_gram(basis.functions())
+        mass, stiffness = exact_gram(basis_functions(basis))
         assert [list(r) for r in lm.mass_ref] == mass
         assert [list(r) for r in lm.stiffness_ref] == stiffness
 
@@ -65,7 +96,7 @@ class TestLocalMatrices:
     def test_matches_quadrature(self, family, p):
         lm = reference_matrices(family, p)
         basis = reference_basis(family, p)
-        funcs = basis.functions()
+        funcs = basis_functions(basis)
         for a in range(lm.n):
             for b in range(a, lm.n):
                 exact = float(lm.mass_ref[a][b])
@@ -192,7 +223,7 @@ class TestAssemble:
         dm = build_dof_map(mesh, family, 4)
         system = assemble(mesh, dm, reference_matrices(family, 4), "neumann")
         # the exact coordinates of 1 in the reference basis, on every element
-        coords = coordinates(reference_basis(family, 4).functions(), ONE)
+        coords = coordinates(basis_functions(reference_basis(family, 4)), ONE)
         c = np.zeros(dm.total)
         for gdofs in dm.element_dofs:
             c[gdofs] = [float(v) for v in coords]
@@ -245,10 +276,10 @@ def test_interelement_trace_continuity(family, p):
 @pytest.mark.parametrize("p", range(1, 6))
 def test_constant_reconstruction(family, p):
     basis = reference_basis(family, p)
-    coords = coordinates(basis.functions(), ONE)
+    coords = coordinates(basis_functions(basis), ONE)
     assert coords is not None
     combo = Polynomial.zero()
-    for c, f in zip(coords, basis.functions()):
+    for c, f in zip(coords, basis_functions(basis)):
         combo = combo + c * f
     assert combo == ONE
 

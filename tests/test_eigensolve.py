@@ -21,6 +21,7 @@ from srdpeig.eigensolve import (
     EigenResult,
     InsufficientSpectrum,
     MassNotPD,
+    SingularShift,
     SolveNotConverged,
     select_near,
     solve_generalized,
@@ -187,6 +188,12 @@ class TestTargetedSolve:
         norm_M = np.abs(system.M.toarray()).sum(axis=0).max()
         expected = residual / ((norm_L + np.abs(w) * norm_M) * np.abs(V).sum(axis=0))
         assert result.backward_error == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_singular_shift_raises(self):
+        # L - 0 M has a zero pivot, so SuperLU cannot factor it
+        system = synthetic_system(np.diag(np.arange(10.0)), np.eye(10))
+        with pytest.raises(SingularShift, match=r"about 0\.0 .*dimension 10"):
+            solve_generalized(system, target=0.0)
 
     def test_no_convergence_raises(self, monkeypatch):
         def stalled(*args, **kwargs):

