@@ -6,12 +6,21 @@ Two paths, chosen from the input:
   nearest the target come from shift-invert Lanczos about it (ARPACK through
   `scipy.sparse.linalg.eigsh` with `sigma=target`) on the sparse matrices.
   A study point needs only the eigenvalue nearest its target, so nothing
-  else is computed.  Each returned pair must have a positive M-norm, and
-  its backward error ||L v - lambda M v||_1 / ((||L||_1 + |lambda| ||M||_1)
-  ||v||_1) is recorded in the result.  The matrix 1-norms are exact (the
-  largest absolute column sum of the sparse matrix), not estimates.  A
-  target at which L - target * M is exactly singular in floating point
-  raises `SingularShift`.
+  else is computed.  The pencil is first balanced by the diagonal
+  congruence D = 2^(-round(log2 |a_ii| / 2)) of a = L - target * M (1
+  where a_ii = 0).  Powers of two scale exactly in floating point, so
+  (D L D, D M D) has the same eigenvalues, with eigenvectors D^-1 v; it
+  evens out the unscaled derivative DOFs, whose loss of pivots otherwise
+  fills the factors.  D (L - target M) D is factored once by SuperLU in
+  the symmetric minimum-degree order of A^T + A (`MMD_AT_PLUS_A`), keeping
+  the diagonal pivot unless it is below 0.1 of its column's largest
+  entry, and that factorization is the Lanczos operator.  The checks run
+  on the original, unscaled pencil: each returned pair must have a
+  positive M-norm, and its backward error ||L v - lambda M v||_1 /
+  ((||L||_1 + |lambda| ||M||_1) ||v||_1) is recorded in the result.  The
+  matrix 1-norms are exact (the largest absolute column sum of the sparse
+  matrix), not estimates.  A target at which L - target * M is exactly
+  singular in floating point raises `SingularShift`.
 * Full spectrum: with no target, or with at most `K` DOFs (ARPACK needs
   more DOFs than requested pairs), the pencil is densified and handed to
   one LAPACK call, `scipy.linalg.eigh(L, M)`.  Spectrum tables and the
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, norm
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, norm, splu
 
 from .assembly import GlobalSystem
 
@@ -104,17 +113,24 @@ def solve_generalized(
 
 
 def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> EigenResult:
-    """The K eigenpairs nearest the target by sparse shift-invert Lanczos."""
+    """The K eigenpairs nearest the target by sparse shift-invert Lanczos on
+    the balanced pencil, checked on the original one."""
     n = system.dimension
-    # ARPACK's default start vector is random; a fixed one keeps output bytes
-    # identical from run to run.
-    v0 = np.random.default_rng(0).standard_normal(n)
+    L, M = system.L, system.M
+    # D = 2^(-round(log2|a_ii| / 2)) for a = L - target M, and 1 where a_ii
+    # is 0: a power-of-two congruence, exact in floating point
+    shifted_diagonal = np.abs(L.diagonal() - target * M.diagonal())
+    exponent = np.zeros(n, dtype=int)
+    nonzero = shifted_diagonal > 0
+    exponent[nonzero] = -np.rint(np.log2(shifted_diagonal[nonzero]) / 2)
+    d = np.ldexp(1.0, exponent)
+    L_s, M_s = _congruence(L, d), _congruence(M, d)
     try:
-        w, V = eigsh(system.L, K, M=system.M, sigma=target, v0=v0)
-    except ArpackNoConvergence as exc:
-        raise SolveNotConverged(
-            f"shift-invert solve about {target} did not converge (dimension {n})"
-        ) from exc
+        lu = splu(
+            (L_s - target * M_s).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.1,
+        )
     except RuntimeError as exc:
         # SuperLU's message when L - sigma M has an exactly zero pivot
         if "exactly singular" not in str(exc):
@@ -123,15 +139,32 @@ def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> Eige
             f"shift-invert about {target} failed: L - sigma M is exactly "
             f"singular (dimension {n})"
         ) from exc
+    OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    # ARPACK's default start vector is random; a fixed one keeps output bytes
+    # identical from run to run.
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        w, V = eigsh(L_s, K, M=M_s, sigma=target, v0=v0, OPinv=OPinv)
+    except ArpackNoConvergence as exc:
+        raise SolveNotConverged(
+            f"shift-invert solve about {target} did not converge (dimension {n})"
+        ) from exc
     order = np.argsort(w, kind="stable")
-    w, V = w[order], V[:, order]
-    MV = system.M @ V
+    w, V = w[order], d[:, None] * V[:, order]
+    MV = M @ V
     if (np.einsum("ij,ij->j", V, MV) <= 0).any():
         raise MassNotPD(f"mass matrix of dimension {n} is not positive definite")
-    residual = system.L @ V - MV * w
-    scale = norm(system.L, 1) + np.abs(w) * norm(system.M, 1)
+    residual = L @ V - MV * w
+    scale = norm(L, 1) + np.abs(w) * norm(M, 1)
     eta = np.abs(residual).sum(axis=0) / (scale * np.abs(V).sum(axis=0))
     return EigenResult(w, V if with_vectors else None, n, target, eta)
+
+
+def _congruence(A, d: np.ndarray):
+    """D A D for D = diag(d) and A in CSR or CSC: entry (i, j) times d_i d_j."""
+    scaled = A.copy()
+    scaled.data *= np.repeat(d, np.diff(A.indptr)) * d[A.indices]
+    return scaled
 
 
 def select_near(result: EigenResult, target: float, multiplicity: int = 1) -> list[float]:

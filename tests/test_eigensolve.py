@@ -195,6 +195,32 @@ class TestTargetedSolve:
         with pytest.raises(SingularShift, match=r"about 0\.0 .*dimension 10"):
             solve_generalized(system, target=0.0)
 
+    def test_zero_shifted_diagonal(self):
+        # L - 2 I = tridiag(-1, 0, -1) is nonsingular with a zero diagonal:
+        # the balancing leaves every row unscaled and the LU pivots off the
+        # diagonal
+        n = 10
+        L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        system = synthetic_system(L, np.eye(n))
+        window = solve_generalized(system, with_vectors=True, target=2.0)
+        dense = solve_generalized(system)
+        expected = np.array(select_near(dense, 2.0, multiplicity=K))
+        assert window.eigenvalues == pytest.approx(expected, rel=1e-12, abs=0)
+        V = window.eigenvectors
+        residual = L @ V - V * window.eigenvalues
+        assert np.abs(residual).max() < 1e-12
+        assert (window.backward_error <= BACKWARD_ERROR_TOL).all()
+
+    def test_high_order_agrees_with_dense(self):
+        # tensor p = 8 has cond(M_ref) ~ 4.5e21 from its unscaled
+        # midpoint-derivative DOFs; the balanced pencil keeps the targeted
+        # eigenvalue at the dense solve's accuracy
+        target = TARGET_PRESETS["lshape_neumann_1"]
+        window = solve_configuration("lshape", "neumann", "tensor", 8, 2, target=target)
+        dense = solve_configuration("lshape", "neumann", "tensor", 8, 2)
+        ours, theirs = select_near(window, target)[0], select_near(dense, target)[0]
+        assert abs(ours - theirs) <= 1e-11 * theirs
+
     def test_no_convergence_raises(self, monkeypatch):
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
