@@ -20,6 +20,15 @@ tensor family is the single-product case.  The sums run in integers: every
 int sum of signed products, and one `Fraction(sum, D^2)` is made per entry
 at the end.
 
+Global assembly builds M and L on one sparsity pattern.  The row and column
+indices of every element entry come at once from the (elements x local)
+array of global DOFs; under Dirichlet conditions the DOFs are first
+renumbered to free positions and boundary entries dropped.  One COO to CSR
+conversion then sorts and sums both matrices, packed as the real and
+imaginary parts of one complex matrix.  Each part is summed in the order a
+real conversion uses, so M and L are bit for bit those of two separate
+conversions, and they share one `indices` and one `indptr` array.
+
 Edge derivative DOFs are interpreted in reference-element units and are not
 rescaled per element: on a uniform mesh both elements sharing an edge use
 the same h, so the identification is consistent as is.
@@ -161,7 +170,8 @@ def scale_to_element(
 
     Each mass entry a/b is scaled by (h/2)^2 = fn/fd and rounded once, as
     the integer true division (a fn) / (b fd); this equals
-    float(Fraction(a, b) * (h/2)^2) bit for bit.  The stiffness is the
+    float(Fraction(a, b) * (h/2)^2) bit for bit.  Only the upper triangle
+    is divided; the lower one is its mirror.  The stiffness is the
     read-only `lm.stiffness`, converted once per reference matrix.
     """
     h = Fraction(h)
@@ -169,9 +179,16 @@ def scale_to_element(
         raise ValueError("element side must be positive")
     factor = (h / 2) ** 2
     fn, fd = factor.numerator, factor.denominator
-    mass = np.array(
-        [[(m.numerator * fn) / (m.denominator * fd) for m in row] for row in lm.mass_ref]
-    )
+    # mass_ref is exactly symmetric: divide the upper triangle and mirror it
+    upper = [
+        (m.numerator * fn) / (m.denominator * fd)
+        for r, row in enumerate(lm.mass_ref)
+        for m in row[r:]
+    ]
+    mass = np.empty((lm.n, lm.n))
+    triangle = np.triu_indices(lm.n)
+    mass[triangle] = upper
+    mass.T[triangle] = upper
     return mass, lm.stiffness
 
 
@@ -179,7 +196,9 @@ def scale_to_element(
 class GlobalSystem:
     """Assembled symmetric sparse pencil restricted to free DOFs.
 
-    `free[i]` maps row/column i back to the DofMap's global index.
+    `free[i]` maps row/column i back to the DofMap's global index.  An
+    assembled M and L share one index structure (`indices`, `indptr`), so
+    neither may be changed in place.
     """
 
     M: sp.csr_matrix
@@ -195,33 +214,16 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
     """Accumulate element contributions and apply the boundary condition.
 
     Dirichlet removes every boundary DOF (values and edge derivatives
-    alike); Neumann leaves the system untouched.
+    alike); Neumann leaves the system untouched.  M and L come from one
+    COO to CSR conversion on one pattern (module docstring).
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
     if (dofmap.family, dofmap.p) != (lm.family, lm.p):
         raise ValueError("local matrices do not match the DOF map family/order")
-    mass_el, stiff_el = scale_to_element(lm, mesh.h)
-    n = lm.n
-    total = dofmap.total
-
-    rows = []
-    cols = []
-    for gdofs in dofmap.element_dofs:
-        idx = np.asarray(gdofs, dtype=np.int64)
-        rows.append(np.repeat(idx, n))
-        cols.append(np.tile(idx, n))
-    row_idx = np.concatenate(rows)
-    col_idx = np.concatenate(cols)
-    n_el = mesh.n_elements
-    mass_data = np.tile(mass_el.ravel(), n_el)
-    stiff_data = np.tile(stiff_el.ravel(), n_el)
-
-    M = sp.coo_matrix((mass_data, (row_idx, col_idx)), shape=(total, total)).tocsr()
-    L = sp.coo_matrix((stiff_data, (row_idx, col_idx)), shape=(total, total)).tocsr()
-
+    dofs = np.asarray(dofmap.element_dofs, dtype=np.int32)  # (elements, local)
     if bc == NEUMANN:
-        free = np.arange(total, dtype=np.int64)
+        free = np.arange(dofmap.total, dtype=np.int64)
     else:
         free = dofmap.free_dofs()
         if free.size == 0:
@@ -229,8 +231,28 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
                 "no free DOFs remain after boundary elimination "
                 f"({dofmap.family}, p={dofmap.p}, N={mesh.N}, {mesh.domain})"
             )
-        M = M[free][:, free]
-        L = L[free][:, free]
+        position = np.full(dofmap.total, -1, dtype=np.int32)
+        position[free] = np.arange(free.size, dtype=np.int32)
+        dofs = position[dofs]
+
+    mass_el, stiff_el = scale_to_element(lm, mesh.h)
+    local = np.empty(lm.n * lm.n, dtype=complex)
+    local.real, local.imag = mass_el.ravel(), stiff_el.ravel()
+    # entry (a, b) of element e sits at [e, a n + b] of each array
+    rows = np.repeat(dofs, lm.n, axis=1).ravel()
+    cols = np.tile(dofs, lm.n).ravel()
+    data = np.tile(local, mesh.n_elements)
+    if bc == DIRICHLET:
+        kept = (rows >= 0) & (cols >= 0)
+        rows, cols, data = rows[kept], cols[kept], data[kept]
+    size = free.size
+    both = sp.coo_matrix((data, (rows, cols)), shape=(size, size))
+    del rows, cols, data
+    both = both.tocsr()
+    # a compact copy: the summed indices are a view of the unsummed ones
+    pattern = (both.indices.copy(), both.indptr)
+    M = sp.csr_matrix((np.ascontiguousarray(both.data.real), *pattern), shape=(size, size))
+    L = sp.csr_matrix((np.ascontiguousarray(both.data.imag), *pattern), shape=(size, size))
     return GlobalSystem(M, L, free)
 
 

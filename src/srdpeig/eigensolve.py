@@ -2,36 +2,47 @@
 
 Two paths, chosen from the input:
 
-* Targeted: given a target and more than `K` free DOFs, the `K` eigenpairs
-  nearest the target come from shift-invert Lanczos about it (ARPACK through
-  `scipy.sparse.linalg.eigsh` with `sigma=target`) on the sparse matrices.
-  A study point needs only the eigenvalue nearest its target, so nothing
-  else is computed.  The pencil is first balanced by the diagonal
-  congruence D = 2^(-round(log2 |a_ii| / 2)) of a = L - target * M (1
-  where a_ii = 0).  Powers of two scale exactly in floating point, so
+* Dense: the pencil is densified and handed to one LAPACK call,
+  `scipy.linalg.eigh(L, M)`.  With no target this is the full spectrum;
+  spectrum tables and the oracle tests use it.  With a target and at most
+  `DENSE_MAX_DOFS` DOFs, the `K` eigenpairs nearest the target are kept
+  (ties break toward the smaller eigenvalue, as in `select_near`).
+* Shift-invert: given a target and more than `DENSE_MAX_DOFS` DOFs, the `K`
+  eigenpairs nearest the target come from shift-invert Lanczos about it
+  (ARPACK through `scipy.sparse.linalg.eigsh` with `sigma=target`) on the
+  sparse matrices.  A study point needs only the eigenvalue nearest its
+  target, so nothing else is computed.  The pencil is first balanced by the
+  diagonal congruence D = 2^(-round(log2 |a_ii| / 2)) of a = L - target * M
+  (1 where a_ii = 0).  Powers of two scale exactly in floating point, so
   (D L D, D M D) has the same eigenvalues, with eigenvectors D^-1 v; it
   evens out the unscaled derivative DOFs, whose loss of pivots otherwise
-  fills the factors.  D (L - target M) D is factored once by SuperLU in
-  the symmetric minimum-degree order of A^T + A (`MMD_AT_PLUS_A`), keeping
-  the diagonal pivot unless it is below 0.1 of its column's largest
-  entry, and that factorization is the Lanczos operator.  The checks run
-  on the original, unscaled pencil: each returned pair must have a
-  positive M-norm, and its backward error ||L v - lambda M v||_1 /
-  ((||L||_1 + |lambda| ||M||_1) ||v||_1) is recorded in the result.  The
-  matrix 1-norms are exact (the largest absolute column sum of the sparse
-  matrix), not estimates.  A target at which L - target * M is exactly
+  fills the factors.  D a D is factored once by SuperLU in the symmetric
+  minimum-degree order of A^T + A (`MMD_AT_PLUS_A`), keeping the diagonal
+  pivot unless it is below 0.1 of its column's largest entry, and that
+  factorization is the Lanczos operator.  A target at which a is exactly
   singular in floating point raises `SingularShift`.
-* Full spectrum: with no target, or with at most `K` DOFs (ARPACK needs
-  more DOFs than requested pairs), the pencil is densified and handed to
-  one LAPACK call, `scipy.linalg.eigh(L, M)`.  Spectrum tables and the
-  oracle tests use this path.
 
+`DENSE_MAX_DOFS` = 200 is where the two targeted paths cost about the same.
+Medians of 41 `solve_generalized` calls at 2 BLAS threads (Intel Xeon, 2
+vCPUs), dense against shift-invert: 1.8 against 4.0 ms at 96 DOFs, 2.9
+against 5.8 ms at 121, 5.0 against 5.0 ms at 161, 6.6 against 5.9 ms at
+185, 9.9 against 9.4 ms at 225, 12.3 against 7.0 ms at 253 and 16.3
+against 9.8 ms at 289.  Below it, ARPACK's fixed cost outweighs the
+O(n^3) of LAPACK: it makes 21 to 37 shift-invert solves and 62 to 110
+M-products even at 45 to 121 DOFs.
+
+Both targeted paths end in one `_finish` on the original, unscaled pencil:
+each pair must have a positive M-norm, its eigenvalue is the Rayleigh
+quotient v^T L v / v^T M v of its vector (not the Ritz or LAPACK value),
+and its backward error ||L v - lambda M v||_1 / ((||L||_1 + |lambda|
+||M||_1) ||v||_1) is recorded in the result.  The matrix 1-norms are exact
+(the largest absolute column sum of the sparse matrix), not estimates.
 The accuracy gate sits at selection: `select_near` raises when a pair it
 returns has a backward error above `BACKWARD_ERROR_TOL`.  The far members
 of a targeted window are not gated.  Shift-invert converges the values
 1/(lambda - target) relative to the largest one, so when the target sits
 very close to an eigenvalue, a far pair can lose digits that the selected
-pairs keep.
+pairs keep.  A system of at most `K` DOFs returns all its pairs.
 
 Eigenvalues come back real and ascending on both paths.
 """
@@ -42,12 +53,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, norm, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .assembly import GlobalSystem
 
 #: Eigenpairs a targeted solve returns: a double eigenvalue plus one neighbour.
 K = 3
+#: Largest system a targeted solve hands to the dense path (module docstring).
+DENSE_MAX_DOFS = 200
 #: Largest backward error a selected eigenpair may have to be accepted.
 BACKWARD_ERROR_TOL = 1e-8
 
@@ -92,42 +105,58 @@ class EigenResult:
 def solve_generalized(
     system: GlobalSystem, with_vectors: bool = False, target: float | None = None
 ) -> EigenResult:
-    """Eigenvalues of the assembled pencil (L, M): the `K` nearest the
-    target when one is given and the system has more than `K` DOFs, the
-    full spectrum otherwise."""
+    """Eigenvalues of the assembled pencil (L, M).
+
+    With no target, the full spectrum from one dense `eigh` call.  With a
+    target, the `K` eigenpairs nearest it (all of them when there are at
+    most `K`): from the dense call when the system has at most
+    `DENSE_MAX_DOFS` DOFs, from sparse shift-invert otherwise.  Both
+    targeted paths return Rayleigh quotients with backward errors through
+    one `_finish` (module docstring).
+    """
     n = system.dimension
     if n == 0:
         return EigenResult(np.empty(0))
-    if target is not None and n > K:
+    if target is None:
+        w, vectors = _dense_eigh(system, with_vectors)
+        return EigenResult(w, vectors, ndofs=n)
+    if n > max(K, DENSE_MAX_DOFS):
         return _solve_near(system, target, with_vectors)
-    L, M = system.L.toarray(), system.M.toarray()
+    w, V = _dense_eigh(system, True)
+    return _finish(system, target, V[:, _nearest(w, target, K)], with_vectors)
+
+
+def _dense_eigh(system: GlobalSystem, with_vectors: bool):
+    """(eigenvalues, eigenvectors or None) of the densified pencil by one
+    LAPACK call."""
     try:
-        result = eigh(L, M, eigvals_only=not with_vectors)
+        result = eigh(system.L.toarray(), system.M.toarray(), eigvals_only=not with_vectors)
     except np.linalg.LinAlgError as exc:
         # M is eigh's B; its failed Cholesky reads "... of B is not positive definite"
         if "positive definite" not in str(exc):
             raise
-        raise MassNotPD(f"mass matrix of dimension {n} is not positive definite") from exc
-    w, vectors = result if with_vectors else (result, None)
-    return EigenResult(w, vectors, ndofs=n)
+        raise MassNotPD(
+            f"mass matrix of dimension {system.dimension} is not positive definite"
+        ) from exc
+    return result if with_vectors else (result, None)
 
 
 def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> EigenResult:
     """The K eigenpairs nearest the target by sparse shift-invert Lanczos on
     the balanced pencil, checked on the original one."""
     n = system.dimension
-    L, M = system.L, system.M
+    shifted = system.L - target * system.M
     # D = 2^(-round(log2|a_ii| / 2)) for a = L - target M, and 1 where a_ii
-    # is 0: a power-of-two congruence, exact in floating point
-    shifted_diagonal = np.abs(L.diagonal() - target * M.diagonal())
+    # is 0: a power-of-two congruence, exact in floating point, so D a D is
+    # bit for bit D L D - target D M D
+    shifted_diagonal = np.abs(shifted.diagonal())
     exponent = np.zeros(n, dtype=int)
     nonzero = shifted_diagonal > 0
     exponent[nonzero] = -np.rint(np.log2(shifted_diagonal[nonzero]) / 2)
     d = np.ldexp(1.0, exponent)
-    L_s, M_s = _congruence(L, d), _congruence(M, d)
     try:
         lu = splu(
-            (L_s - target * M_s).tocsc(),
+            _congruence(shifted, d).tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.1,
         )
@@ -144,20 +173,44 @@ def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> Eige
     # identical from run to run.
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        w, V = eigsh(L_s, K, M=M_s, sigma=target, v0=v0, OPinv=OPinv)
+        # with sigma and OPinv, eigsh reads only the shape and dtype of its
+        # first argument, so L is passed unscaled; the Ritz values are
+        # replaced by Rayleigh quotients in _finish
+        _, V = eigsh(
+            system.L, K, M=_congruence(system.M, d), sigma=target, v0=v0, OPinv=OPinv
+        )
     except ArpackNoConvergence as exc:
         raise SolveNotConverged(
             f"shift-invert solve about {target} did not converge (dimension {n})"
         ) from exc
-    order = np.argsort(w, kind="stable")
-    w, V = w[order], d[:, None] * V[:, order]
-    MV = M @ V
-    if (np.einsum("ij,ij->j", V, MV) <= 0).any():
-        raise MassNotPD(f"mass matrix of dimension {n} is not positive definite")
-    residual = L @ V - MV * w
-    scale = norm(L, 1) + np.abs(w) * norm(M, 1)
+    return _finish(system, target, d[:, None] * V, with_vectors)
+
+
+def _finish(
+    system: GlobalSystem, target: float, V: np.ndarray, with_vectors: bool
+) -> EigenResult:
+    """Check and finish the eigenvectors V of the unscaled pencil: each needs
+    v^T M v > 0, its eigenvalue is the Rayleigh quotient v^T L v / v^T M v,
+    and its backward error is recorded.  Pairs come back ascending."""
+    L, M = system.L, system.M
+    LV, MV = L @ V, M @ V
+    mass_norm = np.einsum("ij,ij->j", V, MV)
+    if (mass_norm <= 0).any():
+        raise MassNotPD(
+            f"mass matrix of dimension {system.dimension} is not positive definite"
+        )
+    w = np.einsum("ij,ij->j", V, LV) / mass_norm
+    residual = LV - MV * w
+    scale = _norm1(L) + np.abs(w) * _norm1(M)
     eta = np.abs(residual).sum(axis=0) / (scale * np.abs(V).sum(axis=0))
-    return EigenResult(w, V if with_vectors else None, n, target, eta)
+    order = np.argsort(w, kind="stable")
+    vectors = V[:, order] if with_vectors else None
+    return EigenResult(w[order], vectors, system.dimension, target, eta[order])
+
+
+def _norm1(A) -> float:
+    """Exact 1-norm of a CSR matrix: its largest absolute column sum."""
+    return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[1]).max()
 
 
 def _congruence(A, d: np.ndarray):
@@ -165,6 +218,13 @@ def _congruence(A, d: np.ndarray):
     scaled = A.copy()
     scaled.data *= np.repeat(d, np.diff(A.indptr)) * d[A.indices]
     return scaled
+
+
+def _nearest(w: np.ndarray, target: float, count: int) -> np.ndarray:
+    """Indices of the `count` entries of w closest to the target, nearest
+    first; ties in distance break toward the smaller value."""
+    w = np.asarray(w)
+    return np.lexsort((w, np.abs(w - target)))[:count]
 
 
 def select_near(result: EigenResult, target: float, multiplicity: int = 1) -> list[float]:
@@ -181,8 +241,7 @@ def select_near(result: EigenResult, target: float, multiplicity: int = 1) -> li
         raise InsufficientSpectrum(
             f"requested {multiplicity} eigenvalues near {target}, have {len(w)}"
         )
-    ranked = sorted(range(len(w)), key=lambda k: (abs(w[k] - target), w[k]))
-    chosen = ranked[:multiplicity]
+    chosen = _nearest(w, target, multiplicity)
     if result.backward_error is not None:
         eta = result.backward_error[chosen]
         if not (eta <= BACKWARD_ERROR_TOL).all():

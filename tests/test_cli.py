@@ -72,9 +72,14 @@ def test_study_inaccurate_solve_exits_nonzero(tmp_path, monkeypatch, capsys):
     real = eigensolve.eigsh
 
     def perturbed(*args, **kwargs):
+        # every other vector entry moved by 1e-4 relative: the residual grows
+        # at first order, so the Rayleigh quotient cannot hide it
         w, V = real(*args, **kwargs)
-        return w * (1 + 1e-4), V
+        V = V.copy()
+        V[::2] *= 1 + 1e-4
+        return w, V
 
+    monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
     monkeypatch.setattr(eigensolve, "eigsh", perturbed)
     csv_path = tmp_path / "bad.csv"
     code = main(
@@ -101,11 +106,13 @@ def test_study_inaccurate_solve_exits_nonzero(tmp_path, monkeypatch, capsys):
     assert not csv_path.exists()
 
 
-def test_study_target_near_eigenvalue_exits_zero(tmp_path):
+def test_study_target_near_eigenvalue_exits_zero(tmp_path, monkeypatch):
     """At tensor p = 6, N = 2 the 5 pi^2 target lies about 1e-7 from the
     computed double eigenvalue.  Shift-invert then resolves the far pair of
     the window (the neighbour 2 pi^2) less accurately than the selected
-    pairs; only the selected pairs are gated."""
+    pairs; only the selected pairs are gated.  These systems are small
+    enough for the dense path, so shift-invert is forced."""
+    monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
     csv_path = tmp_path / "five.csv"
     argv = "study --domain square --bc dirichlet --family tensor --sweep p --fixed 2"
     assert main(argv.split() + ["--target", "five_pi_sq", "--csv", str(csv_path)]) == 0

@@ -2,9 +2,11 @@
 accuracy gate, spectrum errors, and independent cross-checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -36,6 +38,31 @@ FIVE_PI_SQ = 5 * math.pi**2
 def synthetic_system(L: np.ndarray, M: np.ndarray) -> GlobalSystem:
     n = L.shape[0]
     return GlobalSystem(sp.csr_matrix(M), sp.csr_matrix(L), np.arange(n))
+
+
+@pytest.fixture
+def shift_invert(monkeypatch):
+    """Send every targeted solve with more than K DOFs to shift-invert."""
+    monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
+
+
+def spoil(V: np.ndarray, column: int | slice = slice(None)) -> np.ndarray:
+    """V with every other entry of the given columns moved by 1e-4 relative:
+    the Rayleigh quotient moves at second order, the residual at first."""
+    V = V.copy()
+    V[::2, column] *= 1 + 1e-4
+    return V
+
+
+def exact_rayleigh_quotient(system: GlobalSystem, v: np.ndarray) -> Fraction:
+    """v^T L v / v^T M v in exact arithmetic over the float entries."""
+    x = [Fraction(float(a)) for a in v]
+
+    def form(A) -> Fraction:
+        A = A.tocoo()
+        return sum(Fraction(float(a)) * x[i] * x[j] for i, j, a in zip(A.row, A.col, A.data))
+
+    return form(system.L) / form(system.M)
 
 
 class TestSolveGeneralized:
@@ -80,6 +107,7 @@ class TestSolveGeneralized:
             assert np.abs(residual).max() < 1e-8 * max(1.0, abs(result.eigenvalues[k]))
 
 
+@pytest.mark.usefixtures("shift_invert")
 class TestTargetedSolve:
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
     @pytest.mark.parametrize("p", [2, 3])
@@ -115,11 +143,6 @@ class TestTargetedSolve:
         residual = system.L @ V - (system.M @ V) * result.eigenvalues
         assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
 
-    def test_small_system_takes_full_spectrum(self):
-        result = solve_configuration("square", "dirichlet", "tensor", 1, 2, target=TWO_PI_SQ)
-        assert result.target is None
-        assert result.eigenvalues.tolist() == pytest.approx([24.0], rel=1e-12)
-
     def test_indefinite_mass_raises(self):
         # ARPACK's shift-invert mode assumes M > 0; here it returned 2.40,
         # 2.44 and 2.57 without complaint
@@ -134,7 +157,7 @@ class TestTargetedSolve:
 
         def perturbed(*args, **kwargs):
             w, V = real(*args, **kwargs)
-            return w * (1 + 1e-4), V
+            return w, spoil(V)
 
         monkeypatch.setattr(eigensolve, "eigsh", perturbed)
         result = solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
@@ -151,9 +174,7 @@ class TestTargetedSolve:
 
         def perturbed(*args, **kwargs):
             w, V = real(*args, **kwargs)
-            w = w.copy()
-            w[pick(np.abs(w - kwargs["sigma"]))] *= 1 + 1e-4
-            return w, V
+            return w, spoil(V, pick(np.abs(w - kwargs["sigma"])))
 
         monkeypatch.setattr(eigensolve, "eigsh", perturbed)
         window = solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
@@ -228,6 +249,98 @@ class TestTargetedSolve:
         monkeypatch.setattr(eigensolve, "eigsh", stalled)
         with pytest.raises(SolveNotConverged):
             solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
+
+
+class TestDenseWindow:
+    """Targeted solves of at most DENSE_MAX_DOFS DOFs: one LAPACK call,
+    finished and gated like shift-invert."""
+
+    @pytest.mark.parametrize(
+        "domain, bc, family, p, N, target",
+        [
+            ("square", "dirichlet", "tensor", 3, 3, FIVE_PI_SQ),
+            ("square", "dirichlet", "serendipity", 3, 3, FIVE_PI_SQ),
+            ("square", "dirichlet", "serendipity", 6, 2, TWO_PI_SQ),
+            ("lshape", "neumann", "tensor", 3, 2, TARGET_PRESETS["lshape_neumann_1"]),
+            ("lshape", "neumann", "serendipity", 5, 1, TARGET_PRESETS["lshape_neumann_4"]),
+        ],
+    )
+    def test_matches_shift_invert(self, monkeypatch, domain, bc, family, p, N, target):
+        window = solve_configuration(domain, bc, family, p, N, target=target)
+        assert K < window.ndofs <= eigensolve.DENSE_MAX_DOFS
+        monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
+        forced = solve_configuration(domain, bc, family, p, N, target=target)
+        assert window.target == forced.target == target
+        scale = np.maximum(np.abs(forced.eigenvalues), target)
+        assert (np.abs(window.eigenvalues - forced.eigenvalues) <= 1e-10 * scale).all()
+        assert (window.backward_error <= BACKWARD_ERROR_TOL).all()
+
+    def test_gate_fires_when_eigh_is_perturbed(self, monkeypatch):
+        real = eigensolve.eigh
+
+        def perturbed(*args, **kwargs):
+            w, V = real(*args, **kwargs)
+            return w, spoil(V)
+
+        monkeypatch.setattr(eigensolve, "eigh", perturbed)
+        result = solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
+        assert result.ndofs <= eigensolve.DENSE_MAX_DOFS
+        with pytest.raises(SolveNotConverged, match="backward error"):
+            select_near(result, TWO_PI_SQ)
+
+    def test_vectors_only_when_requested(self):
+        mesh = build_mesh("square", 2)
+        dm = build_dof_map(mesh, "tensor", 2)
+        system = assemble(mesh, dm, reference_matrices("tensor", 2), "dirichlet")
+        assert solve_generalized(system, target=TWO_PI_SQ).eigenvectors is None
+        result = solve_generalized(system, with_vectors=True, target=TWO_PI_SQ)
+        V = result.eigenvectors
+        assert V.shape == (system.dimension, K)
+        residual = system.L @ V - (system.M @ V) * result.eigenvalues
+        assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
+
+    def test_small_system_returns_all_pairs(self):
+        # one free DOF: the window is the whole spectrum, still checked
+        result = solve_configuration("square", "dirichlet", "tensor", 1, 2, target=TWO_PI_SQ)
+        assert result.target == TWO_PI_SQ
+        assert result.eigenvalues.tolist() == pytest.approx([24.0], rel=1e-12)
+        assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
+
+    def test_neumann_target_zero_returns_constant_mode(self, monkeypatch):
+        # L is singular: the dense path returns its constant mode, where
+        # shift-invert about 0 cannot factor L - 0 M
+        args = ("square", "neumann", "tensor", 1, 1)
+        result = solve_configuration(*args, target=0.0)
+        assert result.ndofs == 4
+        assert abs(select_near(result, 0.0)[0]) < 1e-12
+        monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
+        with pytest.raises(SingularShift):
+            solve_configuration(*args, target=0.0)
+
+
+class TestRayleighQuotient:
+    # L-shape Neumann tensor p = 5, N = 1 (96 DOFs) at lambda_1: LAPACK's
+    # eigenvalue is about 1.5e-13 relative from the Rayleigh quotient of its
+    # own vector
+    @pytest.mark.parametrize(
+        "threshold", [eigensolve.DENSE_MAX_DOFS, 0], ids=["dense", "shift-invert"]
+    )
+    def test_returns_rayleigh_quotient(self, monkeypatch, threshold):
+        monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", threshold)
+        target = TARGET_PRESETS["lshape_neumann_1"]
+        mesh = build_mesh("lshape", 1)
+        dm = build_dof_map(mesh, "tensor", 5)
+        system = assemble(mesh, dm, reference_matrices("tensor", 5), "neumann")
+        result = solve_generalized(system, with_vectors=True, target=target)
+        for k in range(K):
+            exact = exact_rayleigh_quotient(system, result.eigenvectors[:, k])
+            assert abs(result.eigenvalues[k] - exact) <= 1e-14 * max(abs(exact), target)
+        if threshold:
+            lapack = scipy.linalg.eigh(system.L.toarray(), system.M.toarray())[0]
+            nearest = select_near(result, target)[0]
+            k = list(result.eigenvalues).index(nearest)
+            exact = exact_rayleigh_quotient(system, result.eigenvectors[:, k])
+            assert abs(select_near(EigenResult(lapack), target)[0] - exact) > 1e-14 * exact
 
 
 class TestSelectNear:

