@@ -99,7 +99,7 @@ def _line_grams(
     index: dict[tuple[int, int], int] = {}
     funcs = []
     for q in orders:
-        for a, f in enumerate(generate_phi(q).functions, start=1):
+        for a, f in enumerate(generate_phi(q), start=1):
             index[q, a] = len(funcs)
             funcs.append(f.terms)
     c = lcm(*(v.denominator for terms in funcs for v in terms.values()))

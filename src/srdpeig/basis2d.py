@@ -112,8 +112,8 @@ def _basis_array(family: str, p: int) -> BasisArray:
     grid = [[zero] * (p + 1) for _ in range(p + 1)]
     for (i, j), terms in slot_factors(family, p).items():
         for sign, (px, a), (py, b) in terms:
-            fx = generate_phi(px).functions[a - 1]
-            fy = generate_phi(py).functions[b - 1].swap_xy()
+            fx = generate_phi(px)[a - 1]
+            fy = generate_phi(py)[b - 1].swap_xy()
             grid[i - 1][j - 1] = grid[i - 1][j - 1] + sign * (fx * fy)
     return BasisArray(family, p, tuple(map(tuple, grid)))
 

@@ -14,15 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
 _HALF_EXACT = "expected int or Fraction, got {!r}"
-
-
-class SingularSystem(ValueError):
-    """Raised when an exact linear solve meets a singular square matrix."""
 
 
 def _coerce(value: Scalar) -> Fraction:
@@ -242,33 +238,3 @@ X = Polynomial.monomial(1, 0)
 Y = Polynomial.monomial(0, 1)
 ONE = Polynomial.constant(1)
 
-
-def solve_rational_system(
-    matrix: Iterable[Iterable[Scalar]], rhs: Iterable[Scalar]
-) -> list[Fraction]:
-    """Solve a square nonsingular rational system exactly by Gauss-Jordan
-    elimination on the augmented rows.
-
-    Raises SingularSystem when the matrix is rank deficient, which in basis
-    construction signals inconsistent interpolation conditions.
-    """
-    rows = [[_coerce(a) for a in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    b = [_coerce(v) for v in rhs]
-    if len(b) != n:
-        raise ValueError("right-hand side length must match the matrix")
-    aug = [row + [v] for row, v in zip(rows, b)]
-    for c in range(n):
-        pivot = next((k for k in range(c, n) if aug[k][c] != 0), None)
-        if pivot is None:
-            raise SingularSystem(f"matrix is singular (no pivot in column {c} of {n})")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for k in range(n):
-            if k != c and aug[k][c] != 0:
-                f = aug[k][c]
-                aug[k] = [a - f * v for a, v in zip(aug[k], aug[c])]
-    return [row[-1] for row in aug]

@@ -38,10 +38,11 @@ logger = logging.getLogger(__name__)
 P_RANGE = (1, 2, 3, 4, 5, 6)
 N_RANGE = (1, 2, 3, 4, 5)
 
-#: Named eigenvalue targets: the simple square-domain values and references
-#: for the four lowest nonzero Neumann eigenvalues of the L-shaped domain.
-#: The third is exactly pi^2 (eigenfunction cos(pi x) cos(pi y)); the others
-#: are published high-accuracy values.
+#: Named eigenvalue targets.  On the unit square 2 pi^2 is simple and 5 pi^2
+#: double.  The L-shape entries are nonzero Neumann eigenvalues counted with
+#: multiplicity: the first, the second, pi^2 (exact; double, with
+#: eigenfunctions cos(pi x) and cos(pi y)) in third and fourth place, and the
+#: fifth.  The others are published high-accuracy values.
 TARGET_PRESETS: dict[str, float] = {
     "two_pi_sq": 2 * math.pi**2,
     "five_pi_sq": 5 * math.pi**2,
@@ -229,6 +230,8 @@ def exact_square_spectrum(bc: str, count: int) -> np.ndarray:
     ascending with multiplicity; Neumann admits m, n = 0."""
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     start = 0 if bc == "neumann" else 1
     limit = 8
     while True:

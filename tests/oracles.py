@@ -5,9 +5,9 @@ integrals use Gauss quadrature, exact Gram matrices integrate whole 2D
 products by the monomial rule instead of summing the package's integer 1D
 cross-Gram tables, eigenvalues come from Sturm bisection or separation of
 variables instead of LAPACK, whole discrete spaces are rebuilt from raw
-monomials with pointwise continuity constraints, and exact ranks and
-coordinates come from an elimination of their own instead of the package's
-linear solver.
+monomials with pointwise continuity constraints, the 1D basis is checked
+against its defining functionals instead of its closed form, and exact ranks
+and coordinates come from an elimination of their own.
 """
 
 from __future__ import annotations
@@ -78,6 +78,32 @@ def exact_gram(funcs: list[Polynomial]) -> tuple[list[list[Fraction]], list[list
         [integrate_box(fx * gx + fy * gy) for gx, gy in grads] for fx, fy in grads
     ]
     return mass, stiffness
+
+
+# -- the defining functionals of the 1D basis ---------------------------------
+
+
+def interpolating_conditions(p: int, i: int) -> list[tuple[Fraction, int, int]]:
+    """The functionals that define basis function i of the order-p 1D family,
+    as (node, derivative order, value) triples: the derivative of that order
+    at the node must equal the value.
+
+    For p >= 2 these are the values at -1, 0 and +1 and the derivatives of
+    orders 1..p-2 at 0; function 1 carries the value at -1, function 2 the
+    value at 0, functions 3..p the derivatives and function p+1 the value at
+    +1.  For p = 1 they are the values at -1 and +1 only.  Exactly one
+    condition has value 1, the rest 0.
+    """
+    if p < 1:
+        raise ValueError("order must be >= 1")
+    if not 1 <= i <= p + 1:
+        raise ValueError(f"index {i} outside 1..{p + 1}")
+    if p == 1:
+        return [(Fraction(-1), 0, int(i == 1)), (Fraction(1), 0, int(i == 2))]
+    carriers = {Fraction(-1): 1, Fraction(0): 2, Fraction(1): p + 1}
+    return [(node, 0, int(i == carrier)) for node, carrier in carriers.items()] + [
+        (Fraction(0), k, int(i == k + 2)) for k in range(1, p - 1)
+    ]
 
 
 # -- exact rank, span, and coordinates ----------------------------------------

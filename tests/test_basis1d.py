@@ -5,72 +5,70 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import exact_rank
+from oracles import exact_rank, interpolating_conditions
 from reference_bases import REFERENCE_PHI
-from srdpeig.basis1d import (
-    NODES,
-    InvalidIndex,
-    generate_phi,
-    interpolating_conditions,
-)
+from srdpeig.basis1d import generate_phi
+
+NODES = (Fraction(-1), Fraction(0), Fraction(1))
 
 
 class TestConditions:
     def test_p3_i3(self):
         conds = interpolating_conditions(3, 3)
-        as_set = {(c.node, c.order, c.value) for c in conds}
-        assert as_set == {(-1, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1)}
+        assert set(conds) == {(-1, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1)}
 
     def test_p2_i2(self):
         conds = interpolating_conditions(2, 2)
-        as_set = {(c.node, c.order, c.value) for c in conds}
-        assert as_set == {(-1, 0, 0), (0, 0, 1), (1, 0, 0)}
+        assert set(conds) == {(-1, 0, 0), (0, 0, 1), (1, 0, 0)}
 
     def test_p2_i3_no_derivative_rows(self):
         conds = interpolating_conditions(2, 3)
-        assert all(c.order == 0 for c in conds)
-        as_set = {(c.node, c.order, c.value) for c in conds}
-        assert as_set == {(-1, 0, 0), (0, 0, 0), (1, 0, 1)}
+        assert all(order == 0 for _, order, _ in conds)
+        assert set(conds) == {(-1, 0, 0), (0, 0, 0), (1, 0, 1)}
 
     def test_every_function_gets_one_unit_condition(self):
-        for p in range(2, 7):
+        for p in range(1, 7):
             for i in range(1, p + 2):
                 conds = interpolating_conditions(p, i)
                 assert len(conds) == p + 1
-                assert sum(c.value for c in conds) == 1
+                assert sum(value for _, _, value in conds) == 1
 
     def test_invalid_index(self):
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(ValueError):
             interpolating_conditions(3, 0)
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(ValueError):
             interpolating_conditions(3, 5)
 
-    def test_p1_not_covered(self):
-        with pytest.raises(ValueError):
-            interpolating_conditions(1, 1)
+    def test_p1_endpoint_pair(self):
+        assert interpolating_conditions(1, 1) == [(-1, 0, 1), (1, 0, 0)]
+        assert interpolating_conditions(1, 2) == [(-1, 0, 0), (1, 0, 1)]
 
 
 class TestGeneration:
     @pytest.mark.parametrize("p", sorted(REFERENCE_PHI))
     def test_reference_tables_exact(self, p):
-        generated = generate_phi(p).functions
+        generated = generate_phi(p)
         expected = REFERENCE_PHI[p]
         assert len(generated) == len(expected)
         for k, (a, b) in enumerate(zip(generated, expected), start=1):
             assert a == b, f"p={p}, function {k}: {a} != {b}"
 
-    @pytest.mark.parametrize("p", range(2, 7))
+    @pytest.mark.parametrize("p", range(1, 13))
     def test_all_conditions_hold_exactly(self, p):
+        # p + 1 functionals fix a polynomial of degree <= p uniquely, so this
+        # pins the closed form to the dual basis
         phi = generate_phi(p)
-        for i in range(1, p + 2):
+        assert len(phi) == p + 1
+        for i, f in enumerate(phi, start=1):
+            assert all(j == 0 and 0 <= k <= p for k, j in f.terms)
             for node, order, value in interpolating_conditions(p, i):
-                assert phi.functions[i - 1].derivative("x", order)(node) == value
+                assert f.derivative("x", order)(node) == value
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_basic_shape(self, p):
         phi = generate_phi(p)
         assert len(phi) == p + 1
-        assert all(i <= p and j == 0 for f in phi.functions for i, j in f.terms)
+        assert all(i <= p and j == 0 for f in phi for i, j in f.terms)
 
     @pytest.mark.parametrize("p", range(2, 7))
     def test_nodal_kronecker_structure(self, p):
@@ -78,23 +76,22 @@ class TestGeneration:
         carriers = {Fraction(-1): 1, Fraction(0): 2, Fraction(1): p + 1}
         for node in NODES:
             for i in range(1, p + 2):
-                value = phi.functions[i - 1](node)
+                value = phi[i - 1](node)
                 assert value == (1 if carriers[node] == i else 0)
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_full_rank_basis(self, p):
-        funcs = generate_phi(p).functions
+        funcs = generate_phi(p)
         matrix = [[f.terms.get((m, 0), 0) for m in range(p + 1)] for f in funcs]
         assert exact_rank(matrix) == p + 1
 
     def test_minimal_degrees(self):
         # the midpoint-value function drops degree where parity allows
         for p, degree in ((3, 2), (4, 4), (5, 4)):
-            assert max(i for i, _ in generate_phi(p).functions[1].terms) == degree
+            assert max(i for i, _ in generate_phi(p)[1].terms) == degree
 
     def test_p1_fixed_pair(self):
-        phi = generate_phi(1)
-        left, right = phi.functions
+        left, right = generate_phi(1)
         assert left(-1) == 1 and left(1) == 0
         assert right(-1) == 0 and right(1) == 1
 

@@ -60,7 +60,7 @@ class TestTensor:
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_entries_are_products(self, p):
-        phi = generate_phi(p).functions
+        phi = generate_phi(p)
         basis = tensor_basis(p)
         for i in range(1, p + 2):
             for j in range(1, p + 2):

@@ -1,8 +1,11 @@
 """End-to-end checks of the srdp-eig command-line interface."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
+
+import pytest
 
 import srdpeig.eigensolve as eigensolve
 from srdpeig.basis2d import serendipity_basis
@@ -148,11 +151,38 @@ def test_basis_records_reconstruct(capsys):
         assert rebuilt == basis.entry(record["i"], record["j"])
 
 
+#: sha256 of the `srdp-eig basis` output for p = 1..8 in turn, per family
+#: and format: the catalog bytes are part of the interface.
+BASIS_OUTPUT_SHA256 = {
+    ("tensor", "text"): "c5dd2f78f2011a0875f28768231de438b1911490867ac71038ebab9a570fcf26",
+    ("tensor", "records"): "97ac64d6ffbb80f8ccb24042303ca9e6a437e911ced78ebfe8d8f68440d46e5d",
+    ("serendipity", "text"): "15cc78464344105591e113c4a8e00e1db762edb3557d20b9356b9a320bf019af",
+    ("serendipity", "records"): "34d75dd537e394dae69a281390db8b287b36ca1793b671978dd08d8ffade42d5",
+}
+
+
+@pytest.mark.parametrize("family, fmt", sorted(BASIS_OUTPUT_SHA256))
+def test_basis_output_bytes(capsys, family, fmt):
+    digest = hashlib.sha256()
+    for p in range(1, 9):
+        assert main(["basis", "--family", family, "--p", str(p), "--format", fmt]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BASIS_OUTPUT_SHA256[family, fmt]
+
+
 def test_spectrum_table(capsys):
     assert main(["spectrum", "--p", "2", "--n", "2", "--count", "5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["index", "exact", "tensor", "serendipity"]
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_spectrum_count_below_one_exits_nonzero(capsys, count):
+    assert main(["spectrum", "--p", "2", "--n", "2", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count must be >= 1" in captured.err
 
 
 def test_mesh_dump(capsys):

@@ -1,20 +1,12 @@
-"""Exact polynomial arithmetic and rational linear algebra."""
+"""Exact polynomial arithmetic."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_rank, gauss_box_integral, integrate_box
-from srdpeig.polynomial import (
-    ONE,
-    Polynomial,
-    SingularSystem,
-    X,
-    Y,
-    solve_rational_system,
-)
+from srdpeig.polynomial import ONE, Polynomial, X, Y
 
 H = Fraction(1, 2)
 
@@ -91,33 +83,9 @@ class TestCalculus:
         assert Polynomial.zero()(Fraction(3, 7), -2) == 0
 
 
-class TestSolve:
-    def test_identity(self):
-        b = [Fraction(3), Fraction(-1, 2)]
-        assert solve_rational_system([[1, 0], [0, 1]], b) == b
-
-    def test_scalar(self):
-        assert solve_rational_system([[2]], [1]) == [Fraction(1, 2)]
-
-    def test_hermite_vandermonde(self):
-        # values 0,0,0 at -1,0,1 plus unit derivative at 0 -> x - x^3
-        nodes = [Fraction(-1), Fraction(0), Fraction(1)]
-        matrix = [[n**m for m in range(4)] for n in nodes]
-        matrix.append([m * Fraction(0) ** (m - 1) if m else Fraction(0) for m in range(4)])
-        sol = solve_rational_system(matrix, [0, 0, 0, 1])
-        assert sol == [0, 1, 0, -1]
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularSystem):
-            solve_rational_system([[1, 1], [2, 2]], [1, 1])
-
-    def test_rhs_length_must_match(self):
-        with pytest.raises(ValueError, match="right-hand side"):
-            solve_rational_system([[1, 0], [0, 1]], [1])
-
-    def test_rank(self):
-        assert exact_rank([[1, 2], [2, 4]]) == 1
-        assert exact_rank([[1, 0], [0, 1]]) == 2
+def test_rank():
+    assert exact_rank([[1, 2], [2, 4]]) == 1
+    assert exact_rank([[1, 0], [0, 1]]) == 2
 
 
 class TestRingProperties:
@@ -170,21 +138,3 @@ class TestRingProperties:
         anti = Polynomial.monomial(i + 1, j, c / (i + 1))
         assert anti.derivative("x") == mono
 
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
-    ),
-    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=3, max_size=3),
-)
-def test_solve_residual_is_exactly_zero(matrix, rhs):
-    try:
-        sol = solve_rational_system(matrix, rhs)
-    except SingularSystem:
-        assert exact_rank(matrix) < 3
-        return
-    for row, b in zip(matrix, rhs):
-        assert sum(a * v for a, v in zip(row, sol)) == b

@@ -57,6 +57,11 @@ class TestExactSpectrum:
         assert len(got) == 300
         assert (np.diff(got) >= 0).all()
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            exact_square_spectrum("neumann", count)
+
 
 class TestRunStudy:
     def test_p_sweep_cardinality(self):
