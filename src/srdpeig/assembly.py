@@ -83,6 +83,15 @@ class LocalMatrices:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def mass_upper(self) -> tuple[tuple[int, int], ...]:
+        """(numerator, denominator) of each entry of the upper triangle of
+        `mass_ref`, row by row: `scale_to_element` divides these ints and
+        reads no `Fraction` per call."""
+        return tuple(
+            (m.numerator, m.denominator) for r, row in enumerate(self.mass_ref) for m in row[r:]
+        )
+
 
 def _line_grams(
     orders: list[int],
@@ -171,8 +180,9 @@ def scale_to_element(
     Each mass entry a/b is scaled by (h/2)^2 = fn/fd and rounded once, as
     the integer true division (a fn) / (b fd); this equals
     float(Fraction(a, b) * (h/2)^2) bit for bit.  Only the upper triangle
-    is divided; the lower one is its mirror.  The stiffness is the
-    read-only `lm.stiffness`, converted once per reference matrix.
+    is divided, from the integer pairs cached in `lm.mass_upper`; the lower
+    one is its mirror.  The stiffness is the read-only `lm.stiffness`,
+    converted once per reference matrix.
     """
     h = Fraction(h)
     if h <= 0:
@@ -180,11 +190,7 @@ def scale_to_element(
     factor = (h / 2) ** 2
     fn, fd = factor.numerator, factor.denominator
     # mass_ref is exactly symmetric: divide the upper triangle and mirror it
-    upper = [
-        (m.numerator * fn) / (m.denominator * fd)
-        for r, row in enumerate(lm.mass_ref)
-        for m in row[r:]
-    ]
+    upper = [(a * fn) / (b * fd) for a, b in lm.mass_upper]
     mass = np.empty((lm.n, lm.n))
     triangle = np.triu_indices(lm.n)
     mass[triangle] = upper
@@ -257,7 +263,12 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
 
 
 def write_matrix_coo(matrix: sp.spmatrix, path) -> None:
-    """Coordinate-format text dump: row, col, value with 17 significant digits."""
+    """Coordinate-format text dump: row, col, value with 17 significant digits.
+
+    Each stored entry gets one line, exact zeros included: an assembled M
+    and L keep the union of full element blocks, so at p = 6 a quarter to
+    a half of their lines read 0.
+    """
     coo = matrix.tocoo()
     with open(path, "w", encoding="utf-8") as fh:
         for r, c, v in zip(coo.row, coo.col, coo.data):

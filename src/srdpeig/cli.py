@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     mesh.set_defaults(func=_cmd_mesh)
 
     matrices = sub.add_parser(
-        "matrices", help="dump assembled matrices in coordinate text format"
+        "matrices",
+        help="dump assembled matrices in coordinate text format, one line per "
+        "stored entry, exact zeros included",
     )
     matrices.add_argument("--domain", choices=DOMAINS, required=True)
     matrices.add_argument("--bc", choices=BOUNDARY_CONDITIONS, required=True)

@@ -11,9 +11,13 @@ Two paths, chosen from the input:
   eigenpairs nearest the target come from shift-invert Lanczos about it
   (ARPACK through `scipy.sparse.linalg.eigsh` with `sigma=target`) on the
   sparse matrices.  A study point needs only the eigenvalue nearest its
-  target, so nothing else is computed.  The pencil is first balanced by the
-  diagonal congruence D = 2^(-round(log2 |a_ii| / 2)) of a = L - target * M
-  (1 where a_ii = 0).  Powers of two scale exactly in floating point, so
+  target, so nothing else is computed.  The solve works on one pattern for
+  M and L: the union of theirs, less the positions where both are exactly
+  0.  At p = 6 the parity zeros of the 1D Gram integrals are 26 to 48% of
+  the assembled entries; leaving them out changes no float sum, so the
+  values are bit for bit those over the assembled patterns.  The pencil is
+  first balanced by the diagonal congruence D = 2^(-round(log2 |a_ii| / 2))
+  of a = L - target * M (1 where a_ii = 0).  Powers of two scale exactly in floating point, so
   (D L D, D M D) has the same eigenvalues, with eigenvectors D^-1 v; it
   evens out the unscaled derivative DOFs, whose loss of pivots otherwise
   fills the factors.  D a D is factored once by SuperLU in the symmetric
@@ -44,6 +48,16 @@ of a targeted window are not gated.  Shift-invert converges the values
 very close to an eigenvalue, a far pair can lose digits that the selected
 pairs keep.  A system of at most `K` DOFs returns all its pairs.
 
+The mass check is weak on the shift-invert path.  ARPACK assumes M > 0 and
+does not test it, so `MassNotPD` is raised only when a vector it returns has
+v^T M v <= 0.  An indefinite M whose negative direction stays out of the
+returned vectors gives eigenvalues and no `MassNotPD`.  The test pencil
+diag(1..50), M = I but -1 at index 10, about target 2.5 raises it with
+ARPACK's default 20 Lanczos vectors; with 10 or 12 of them and tolerance
+1e-10 the window comes back as 2, 3 and a spurious third value, and only
+the selection gate (backward errors ~1e-6) rejects it.  The dense path's
+Cholesky factorization checks M in full.
+
 Eigenvalues come back real and ascending on both paths.
 """
 
@@ -52,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
@@ -123,7 +138,7 @@ def solve_generalized(
     if n > max(K, DENSE_MAX_DOFS):
         return _solve_near(system, target, with_vectors)
     w, V = _dense_eigh(system, True)
-    return _finish(system, target, V[:, _nearest(w, target, K)], with_vectors)
+    return _finish(system.M, system.L, target, V[:, _nearest(w, target, K)], with_vectors)
 
 
 def _dense_eigh(system: GlobalSystem, with_vectors: bool):
@@ -145,18 +160,26 @@ def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> Eige
     """The K eigenpairs nearest the target by sparse shift-invert Lanczos on
     the balanced pencil, checked on the original one."""
     n = system.dimension
-    shifted = system.L - target * system.M
+    # one (symmetric) pattern for m and l: the sparse sum keeps the union of
+    # M's and L's and drops the positions where both are exactly 0
+    pencil = system.M + 1j * system.L
+    pattern = (pencil.indices, pencil.indptr)
+    m, l = pencil.data.real.copy(), pencil.data.imag.copy()
+    a = l - target * m
     # D = 2^(-round(log2|a_ii| / 2)) for a = L - target M, and 1 where a_ii
     # is 0: a power-of-two congruence, exact in floating point, so D a D is
     # bit for bit D L D - target D M D
-    shifted_diagonal = np.abs(shifted.diagonal())
+    shifted_diagonal = np.abs(sp.csr_matrix((a, *pattern), shape=(n, n)).diagonal())
     exponent = np.zeros(n, dtype=int)
     nonzero = shifted_diagonal > 0
     exponent[nonzero] = -np.rint(np.log2(shifted_diagonal[nonzero]) / 2)
     d = np.ldexp(1.0, exponent)
+    # entry (i, j) of D A D is a_ij d_i d_j
+    dd = np.repeat(d, np.diff(pencil.indptr)) * d[pencil.indices]
     try:
+        # D a D is symmetric, so its CSR arrays are also its CSC arrays
         lu = splu(
-            _congruence(shifted, d).tocsc(),
+            sp.csc_matrix((a * dd, *pattern), shape=(n, n)),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.1,
         )
@@ -172,52 +195,43 @@ def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> Eige
     # ARPACK's default start vector is random; a fixed one keeps output bytes
     # identical from run to run.
     v0 = np.random.default_rng(0).standard_normal(n)
+    M = sp.csr_matrix((m, *pattern), shape=(n, n))
+    L = sp.csr_matrix((l, *pattern), shape=(n, n))
+    scaled_mass = sp.csr_matrix((m * dd, *pattern), shape=(n, n))
     try:
         # with sigma and OPinv, eigsh reads only the shape and dtype of its
         # first argument, so L is passed unscaled; the Ritz values are
         # replaced by Rayleigh quotients in _finish
-        _, V = eigsh(
-            system.L, K, M=_congruence(system.M, d), sigma=target, v0=v0, OPinv=OPinv
-        )
+        _, V = eigsh(L, K, M=scaled_mass, sigma=target, v0=v0, OPinv=OPinv)
     except ArpackNoConvergence as exc:
         raise SolveNotConverged(
             f"shift-invert solve about {target} did not converge (dimension {n})"
         ) from exc
-    return _finish(system, target, d[:, None] * V, with_vectors)
+    return _finish(M, L, target, d[:, None] * V, with_vectors)
 
 
-def _finish(
-    system: GlobalSystem, target: float, V: np.ndarray, with_vectors: bool
-) -> EigenResult:
-    """Check and finish the eigenvectors V of the unscaled pencil: each needs
-    v^T M v > 0, its eigenvalue is the Rayleigh quotient v^T L v / v^T M v,
-    and its backward error is recorded.  Pairs come back ascending."""
-    L, M = system.L, system.M
+def _finish(M, L, target: float, V: np.ndarray, with_vectors: bool) -> EigenResult:
+    """Check and finish the eigenvectors V of the unscaled pencil (L, M):
+    each needs v^T M v > 0, its eigenvalue is the Rayleigh quotient
+    v^T L v / v^T M v, and its backward error is recorded.  Pairs come back
+    ascending."""
+    n = M.shape[0]
     LV, MV = L @ V, M @ V
     mass_norm = np.einsum("ij,ij->j", V, MV)
     if (mass_norm <= 0).any():
-        raise MassNotPD(
-            f"mass matrix of dimension {system.dimension} is not positive definite"
-        )
+        raise MassNotPD(f"mass matrix of dimension {n} is not positive definite")
     w = np.einsum("ij,ij->j", V, LV) / mass_norm
     residual = LV - MV * w
     scale = _norm1(L) + np.abs(w) * _norm1(M)
     eta = np.abs(residual).sum(axis=0) / (scale * np.abs(V).sum(axis=0))
     order = np.argsort(w, kind="stable")
     vectors = V[:, order] if with_vectors else None
-    return EigenResult(w[order], vectors, system.dimension, target, eta[order])
+    return EigenResult(w[order], vectors, n, target, eta[order])
 
 
 def _norm1(A) -> float:
     """Exact 1-norm of a CSR matrix: its largest absolute column sum."""
     return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[1]).max()
-
-
-def _congruence(A, d: np.ndarray):
-    """D A D for D = diag(d) and A in CSR or CSC: entry (i, j) times d_i d_j."""
-    scaled = A.copy()
-    scaled.data *= np.repeat(d, np.diff(A.indptr)) * d[A.indices]
-    return scaled
 
 
 def _nearest(w: np.ndarray, target: float, count: int) -> np.ndarray:

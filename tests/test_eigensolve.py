@@ -232,6 +232,50 @@ class TestTargetedSolve:
         assert np.abs(residual).max() < 1e-12
         assert (window.backward_error <= BACKWARD_ERROR_TOL).all()
 
+    @pytest.mark.parametrize("family", ["tensor", "serendipity"])
+    def test_explicit_zeros_do_not_change_window(self, family):
+        # the assembled M and L share one pattern with exact zeros in it.
+        # Dropping them from M alone gives M and L different patterns; so
+        # does dropping them from each separately for serendipity, whose L
+        # has zeros where M has none
+        mesh = build_mesh("lshape", 2)
+        system = assemble(
+            mesh, build_dof_map(mesh, family, 4), reference_matrices(family, 4), "neumann"
+        )
+        M, L = system.M.copy(), system.L.copy()
+        M.eliminate_zeros()
+        L.eliminate_zeros()
+        assert M.nnz < system.M.nnz and L.nnz < system.L.nnz
+        target = TARGET_PRESETS["lshape_neumann_1"]
+        expected = solve_generalized(system, target=target)
+        for pencil in (GlobalSystem(M, system.L, system.free), GlobalSystem(M, L, system.free)):
+            window = solve_generalized(pencil, target=target)
+            assert np.array_equal(window.eigenvalues, expected.eigenvalues)
+            assert np.array_equal(window.backward_error, expected.backward_error)
+
+    def test_pencil_drops_exact_zeros(self, monkeypatch):
+        # tensor p = 6 on the L-shape at N = 5: 75,840 of the 173,761 stored
+        # entries of M and L are exactly zero in both
+        seen = {}
+        real_splu, real_eigsh = eigensolve.splu, eigensolve.eigsh
+
+        def splu(A, **kwargs):
+            seen["shifted"] = A.nnz
+            return real_splu(A, **kwargs)
+
+        def eigsh(*args, **kwargs):
+            seen["mass"] = kwargs["M"].nnz
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "splu", splu)
+        monkeypatch.setattr(eigensolve, "eigsh", eigsh)
+        mesh = build_mesh("lshape", 5)
+        dm = build_dof_map(mesh, "tensor", 6)
+        system = assemble(mesh, dm, reference_matrices("tensor", 6), "neumann")
+        assert system.M.nnz == system.L.nnz == 173_761
+        solve_generalized(system, target=TARGET_PRESETS["lshape_neumann_1"])
+        assert seen == {"shifted": 97_921, "mass": 97_921}
+
     def test_high_order_agrees_with_dense(self):
         # tensor p = 8 has cond(M_ref) ~ 4.5e21 from its unscaled
         # midpoint-derivative DOFs; the balanced pencil keeps the targeted
