@@ -1,10 +1,12 @@
 """Square finite elements (tensor-product and serendipity) for Laplace
 eigenvalue computation.
 
-The pipeline: exact rational polynomials -> univariate interpolation bases
--> 2D basis arrays -> exact reference matrices -> sparse assembly on square
-or L-shaped meshes -> generalized eigensolve (the eigenvalues nearest a
-target, or the full spectrum) -> refinement studies.
+The pipeline: closed-form univariate bases in exact rationals -> exact
+reference matrices, summed in integers from the 1D coefficient tables and the
+signed 1D x 1D product rule of each family -> sparse assembly on square or
+L-shaped meshes -> generalized eigensolve (the eigenvalues nearest a target,
+or the full spectrum) -> refinement studies.  The 2D basis arrays are built
+as exact polynomials only for the `srdp-eig basis` catalog and the tests.
 """
 
 __version__ = "0.1.0"

@@ -108,7 +108,7 @@ def slot_factors(
 def _basis_array(family: str, p: int) -> BasisArray:
     """Order-p array of the family: each slot holds the signed sum of its
     `slot_factors` products; slots without factors stay empty."""
-    zero = Polynomial.zero()
+    zero = Polynomial()
     grid = [[zero] * (p + 1) for _ in range(p + 1)]
     for (i, j), terms in slot_factors(family, p).items():
         for sign, (px, a), (py, b) in terms:

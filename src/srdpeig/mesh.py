@@ -181,7 +181,6 @@ class DofMap:
     global index of local slot `local_slots[a]` on element e.
     """
 
-    mesh: Mesh
     family: str
     p: int
     total: int
@@ -237,7 +236,6 @@ def build_dof_map(mesh: Mesh, family: str, p: int) -> DofMap:
         if mesh.boundary_edges[e]:
             boundary.extend(edge_base + e * (p - 1) + k for k in range(p - 1))
     return DofMap(
-        mesh,
         family,
         p,
         total,

@@ -5,9 +5,11 @@ exponent pairs ``(i, j)`` to ``fractions.Fraction`` coefficients.  Univariate
 polynomials are the special case ``j == 0``.  Zero coefficients are never
 stored, so equality testing is exact and structural.
 
-All basis construction in this package runs on these exact polynomials;
-floating point only enters when reference matrices are scaled and handed to
-the assembly layer.
+The type carries the closed-form 1D basis (`basis1d.generate_phi`) and the
+2D basis arrays that the `srdp-eig basis` catalog prints, so it keeps only
+what those need: sums and products, scaling by an exact scalar, the x <-> y
+swap, and rendering.  The reference matrices do not run on it: `assembly`
+reads the 1D coefficients into integer tables.
 """
 
 from __future__ import annotations
@@ -17,16 +19,6 @@ from math import gcd
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
-
-_HALF_EXACT = "expected int or Fraction, got {!r}"
-
-
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(_HALF_EXACT.format(value))
 
 
 class Polynomial:
@@ -40,24 +32,11 @@ class Polynomial:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in {(i, j)}")
-                c = _coerce(c)
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"expected int or Fraction, got {c!r}")
                 if c != 0:
-                    clean[(i, j)] = c
+                    clean[(i, j)] = Fraction(c)
         self._terms = clean
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: Scalar = 1) -> "Polynomial":
-        return cls({(i, j): c})
 
     # -- inspection --------------------------------------------------------
 
@@ -72,8 +51,9 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        other = _as_poly(other)
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, Fraction(0)) + c
@@ -83,23 +63,13 @@ class Polynomial:
                 out[e] = s
         return _wrap(out)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return _wrap({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other: Scalar) -> "Polynomial":
-        return _as_poly(other) - self
-
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            c = _coerce(other)
-            if c == 0:
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
                 return Polynomial()
-            return _wrap({e: c * v for e, v in self._terms.items()})
+            return _wrap({e: other * v for e, v in self._terms.items()})
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         out: dict[tuple[int, int], Fraction] = {}
         for (ia, ja), ca in self._terms.items():
             for (ib, jb), cb in other._terms.items():
@@ -113,51 +83,10 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = _as_poly(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    # -- calculus ----------------------------------------------------------
-
-    def derivative(self, variable: str, order: int = 1) -> "Polynomial":
-        """Exact partial derivative of the given order (variable 'x' or 'y')."""
-        if variable not in ("x", "y"):
-            raise ValueError(f"unknown variable {variable!r}")
-        if order < 0:
-            raise ValueError("negative derivative order")
-        out = self
-        for _ in range(order):
-            terms: dict[tuple[int, int], Fraction] = {}
-            for (i, j), c in out._terms.items():
-                if variable == "x" and i > 0:
-                    terms[(i - 1, j)] = c * i
-                elif variable == "y" and j > 0:
-                    terms[(i, j - 1)] = c * j
-            out = _wrap(terms)
-        return out
-
-    def __call__(self, x0: Scalar, y0: Scalar = 0) -> Fraction:
-        """Exact evaluation at a rational point (y0 defaults to 0)."""
-        x0 = _coerce(x0)
-        y0 = _coerce(y0)
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            total += c * x0**i * y0**j
-        return total
 
     def swap_xy(self) -> "Polynomial":
         """The polynomial with x and y interchanged."""
@@ -221,20 +150,7 @@ def _power(var: str, e: int) -> str:
     return f"{var}^{e}"
 
 
-def _as_poly(value: "Polynomial | Scalar") -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial.constant(value)
-
-
 def _wrap(terms: dict[tuple[int, int], Fraction]) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p._terms = terms
     return p
-
-
-#: The coordinate polynomials, for building expressions like (1 - X**2) * Y.
-X = Polynomial.monomial(1, 0)
-Y = Polynomial.monomial(0, 1)
-ONE = Polynomial.constant(1)
-

@@ -1,13 +1,15 @@
 """Independent verification routines for the test suite.
 
-Everything here deliberately avoids the code paths it checks: float
-integrals use Gauss quadrature, exact Gram matrices integrate whole 2D
-products by the monomial rule instead of summing the package's integer 1D
-cross-Gram tables, eigenvalues come from Sturm bisection or separation of
-variables instead of LAPACK, whole discrete spaces are rebuilt from raw
-monomials with pointwise continuity constraints, the 1D basis is checked
-against its defining functionals instead of its closed form, and exact ranks
-and coordinates come from an elimination of their own.
+Everything here deliberately avoids the code paths it checks: exact
+polynomial algebra, derivatives and evaluation run on `Poly`, this module's
+own polynomial type, instead of `srdpeig.polynomial`; float integrals use
+Gauss quadrature, exact Gram matrices integrate whole 2D products by the
+monomial rule instead of summing the package's integer 1D cross-Gram tables,
+eigenvalues come from Sturm bisection or separation of variables instead of
+LAPACK, whole discrete spaces are rebuilt from raw monomials with pointwise
+continuity constraints, the 1D basis is checked against its defining
+functionals instead of its closed form, and exact ranks and coordinates come
+from an elimination of their own.
 """
 
 from __future__ import annotations
@@ -18,10 +20,123 @@ from fractions import Fraction
 
 import numpy as np
 
-from srdpeig.polynomial import Polynomial
+
+# -- exact polynomials ---------------------------------------------------------
 
 
-def eval_float(poly: Polynomial, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _terms_of(value) -> dict[tuple[int, int], Fraction] | None:
+    """Exponent-to-coefficient map of an exact scalar, a `Poly`, or any
+    polynomial exposing `terms` (the package's); None for anything else."""
+    if isinstance(value, (int, Fraction)):
+        return {(0, 0): Fraction(value)} if value else {}
+    terms = getattr(value, "terms", None)
+    return None if terms is None else dict(terms)
+
+
+class Poly:
+    """Exact polynomial in x and y with `Fraction` coefficients, for the
+    checks in this module and the hand-entered tables in `reference_bases`.
+
+    Operands may be exact scalars or package polynomials, read through their
+    `terms`; a package polynomial defers mixed `+`, `*` and `==` to this type
+    through Python's reflected operators.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {e: Fraction(c) for e, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def of(cls, value) -> "Poly":
+        terms = _terms_of(value)
+        if terms is None:
+            raise TypeError(f"not an exact polynomial: {value!r}")
+        return cls(terms)
+
+    @classmethod
+    def zero(cls) -> "Poly":
+        return cls()
+
+    @classmethod
+    def monomial(cls, i: int, j: int, c=1) -> "Poly":
+        return cls({(i, j): c})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other) -> "Poly":
+        terms = _terms_of(other)
+        if terms is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return Poly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "Poly":
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other) -> "Poly":
+        return Poly.of(other) + -self
+
+    def __mul__(self, other) -> "Poly":
+        terms = _terms_of(other)
+        if terms is None:
+            return NotImplemented
+        out: dict[tuple[int, int], Fraction] = {}
+        for (ia, ja), ca in self.terms.items():
+            for (ib, jb), cb in terms.items():
+                e = (ia + ib, ja + jb)
+                out[e] = out.get(e, 0) + ca * cb
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "Poly":
+        out = Poly.of(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        terms = _terms_of(other)
+        return NotImplemented if terms is None else self.terms == terms
+
+    def derivative(self, variable: str, order: int = 1) -> "Poly":
+        """Partial derivative of the given order in 'x' or 'y'."""
+        if variable not in ("x", "y"):
+            raise ValueError(f"unknown variable {variable!r}")
+        out = self.terms
+        for _ in range(order):
+            if variable == "x":
+                out = {(i - 1, j): c * i for (i, j), c in out.items() if i}
+            else:
+                out = {(i, j - 1): c * j for (i, j), c in out.items() if j}
+        return Poly(out)
+
+    def __call__(self, x0, y0=0) -> Fraction:
+        """Exact value at the rational point (x0, y0)."""
+        x0, y0 = Fraction(x0), Fraction(y0)
+        return sum((c * x0**i * y0**j for (i, j), c in self.terms.items()), Fraction(0))
+
+    def __repr__(self) -> str:
+        return f"Poly({dict(sorted(self.terms.items()))})"
+
+
+#: The coordinate polynomials, for writing expressions like (1 - X**2) * Y.
+X = Poly.monomial(1, 0)
+Y = Poly.monomial(0, 1)
+ONE = Poly.monomial(0, 0)
+
+
+def eval_float(poly: Poly, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Float evaluation of an exact polynomial on numpy grids."""
     out = np.zeros(np.broadcast(x, y).shape)
     for (i, j), c in poly.terms.items():
@@ -29,7 +144,7 @@ def eval_float(poly: Polynomial, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def gauss_box_integral(poly: Polynomial, n: int = 9) -> float:
+def gauss_box_integral(poly: Poly, n: int = 9) -> float:
     """Gauss-Legendre quadrature of a polynomial over [-1, 1]^2.
 
     Exact (up to roundoff) for degree <= 2n-1 per variable.
@@ -40,7 +155,7 @@ def gauss_box_integral(poly: Polynomial, n: int = 9) -> float:
     return float((eval_float(poly, xg, yg) * wg).sum())
 
 
-def basis_functions(basis) -> list[Polynomial]:
+def basis_functions(basis) -> list:
     """Nonzero entries of a basis array in grid order."""
     return [f for row in basis.entries for f in row if not f.is_zero]
 
@@ -56,7 +171,7 @@ def matrix_digest(lm) -> str:
     return h.hexdigest()
 
 
-def integrate_box(poly: Polynomial) -> Fraction:
+def integrate_box(poly: Poly) -> Fraction:
     """Exact integral over the reference square [-1, 1]^2.
 
     Monomial rule: the integral of x^i y^j vanishes when i or j is odd
@@ -69,9 +184,10 @@ def integrate_box(poly: Polynomial) -> Fraction:
     return total
 
 
-def exact_gram(funcs: list[Polynomial]) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+def exact_gram(funcs: list) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     """Exact mass and stiffness Gram matrices over [-1, 1]^2, each entry
     integrated as one 2D product by `integrate_box`."""
+    funcs = [Poly.of(f) for f in funcs]
     grads = [(f.derivative("x"), f.derivative("y")) for f in funcs]
     mass = [[integrate_box(f * g) for g in funcs] for f in funcs]
     stiffness = [
@@ -134,25 +250,25 @@ def exact_rank(matrix: list[list]) -> int:
     return len(_echelon(matrix)[1])
 
 
-def _coefficient_rows(polys: list[Polynomial]) -> list[list[Fraction]]:
+def _coefficient_rows(polys: list) -> list[list[Fraction]]:
     """One row of exact coefficients per polynomial, over their joint support."""
     terms = [poly.terms for poly in polys]
     support = sorted(set().union(*terms))
     return [[t.get(e, Fraction(0)) for e in support] for t in terms]
 
 
-def polynomial_rank(polys: list[Polynomial]) -> int:
+def polynomial_rank(polys: list) -> int:
     """Dimension of the span of the polynomials."""
     return exact_rank(_coefficient_rows(polys))
 
 
-def spans(polys: list[Polynomial], exponents: list[tuple[int, int]]) -> bool:
+def spans(polys: list, exponents: list[tuple[int, int]]) -> bool:
     """Whether every monomial x^i y^j, (i, j) in exponents, lies in the span."""
-    monomials = [Polynomial.monomial(i, j) for i, j in exponents]
+    monomials = [Poly.monomial(i, j) for i, j in exponents]
     return polynomial_rank(polys + monomials) == polynomial_rank(polys)
 
 
-def coordinates(polys: list[Polynomial], target: Polynomial) -> list[Fraction] | None:
+def coordinates(polys: list, target) -> list[Fraction] | None:
     """Exact c with sum c_k polys[k] == target (free coordinates 0), or None
     when the target is outside the span."""
     columns = _coefficient_rows(polys + [target])

@@ -7,7 +7,7 @@ act as an independent record of the expected construction output.
 
 from fractions import Fraction
 
-from srdpeig.polynomial import ONE, Polynomial, X, Y
+from oracles import ONE, Poly, X, Y
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -35,7 +35,7 @@ REFERENCE_PHI = {
     ],
 }
 
-_0 = Polynomial.zero()
+_0 = Poly.zero()
 
 #: Serendipity arrays, order -> (p+1) x (p+1) nested list in slot order
 #: (row = x index, column = y index).
@@ -106,4 +106,4 @@ REFERENCE_SERENDIPITY = {
     ],
 }
 
-assert ONE == Polynomial.constant(1)
+assert ONE == Poly.of(1)

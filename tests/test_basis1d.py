@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import exact_rank, interpolating_conditions
+from oracles import Poly, exact_rank, interpolating_conditions
 from reference_bases import REFERENCE_PHI
 from srdpeig.basis1d import generate_phi
 
@@ -61,6 +61,7 @@ class TestGeneration:
         assert len(phi) == p + 1
         for i, f in enumerate(phi, start=1):
             assert all(j == 0 and 0 <= k <= p for k, j in f.terms)
+            f = Poly.of(f)
             for node, order, value in interpolating_conditions(p, i):
                 assert f.derivative("x", order)(node) == value
 
@@ -76,7 +77,7 @@ class TestGeneration:
         carriers = {Fraction(-1): 1, Fraction(0): 2, Fraction(1): p + 1}
         for node in NODES:
             for i in range(1, p + 2):
-                value = phi[i - 1](node)
+                value = Poly.of(phi[i - 1])(node)
                 assert value == (1 if carriers[node] == i else 0)
 
     @pytest.mark.parametrize("p", range(1, 7))
@@ -91,7 +92,7 @@ class TestGeneration:
             assert max(i for i, _ in generate_phi(p)[1].terms) == degree
 
     def test_p1_fixed_pair(self):
-        left, right = generate_phi(1)
+        left, right = map(Poly.of, generate_phi(1))
         assert left(-1) == 1 and left(1) == 0
         assert right(-1) == 0 and right(1) == 1
 

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    Poly,
+    X,
+    Y,
     basis_functions,
     coordinates,
     polynomial_rank,
@@ -27,7 +30,6 @@ from srdpeig.basis2d import (
     tensor_basis,
 )
 from srdpeig.mesh import reference_basis
-from srdpeig.polynomial import Polynomial, X, Y
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -120,7 +122,7 @@ class TestSerendipity:
         assert polynomial_rank(basis_functions(basis)) == basis.count_nonzero
 
     def test_rejects_crossed_quartic_at_p2(self):
-        target = Polynomial.monomial(2, 2)
+        target = Poly.monomial(2, 2)
         assert coordinates(basis_functions(serendipity_basis(2)), target) is None
 
     @pytest.mark.parametrize("p", range(1, 7))
@@ -195,7 +197,7 @@ def test_value_node_kronecker(family, p):
     the two edge midpoints next to its corner and 0 at the other two."""
     basis = tensor_basis(p) if family == "tensor" else serendipity_basis(p)
     for slot, kind in classify_dofs(basis):
-        poly = basis.entry(*slot)
+        poly = Poly.of(basis.entry(*slot))
         if kind.kind == VERTEX:
             for corner in CORNERS:
                 assert poly(*corner) == (1 if corner == kind.corner else 0)
@@ -209,19 +211,19 @@ def test_value_node_kronecker(family, p):
                 assert poly(*point) == (1 if side == kind.side else 0)
 
 
-@pytest.mark.parametrize("p", range(2, 6))
-def test_derivative_duality_diagnostic(p, capsys):
-    """Diagnostic only: measure how far the serendipity basis is from being
-    dual to the full functional set (values plus edge-midpoint derivatives).
-    The value-node part is a contract (asserted above); the derivative part
-    is recorded, not asserted."""
-    basis = serendipity_basis(p)
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("p", range(2, 9))
+def test_derivative_duality(family, p):
+    """Each edge-derivative functional (the k-th tangential derivative at
+    an edge midpoint, k >= 1) is 1 on its own function and 0 on every other
+    function of the basis, exactly."""
+    basis = reference_basis(family, p)
+    polys = {slot: Poly.of(basis.entry(*slot)) for slot in basis.nonzero_slots()}
     worst = Fraction(0)
     for slot, kind in classify_dofs(basis):
         if kind.kind != EDGE or kind.k == 0:
             continue
-        for other_slot, other_kind in classify_dofs(basis):
-            poly = basis.entry(*other_slot)
+        for other_slot, poly in polys.items():
             if kind.side in ("left", "right"):
                 x0 = -1 if kind.side == "left" else 1
                 val = poly.derivative("y", kind.k)(x0, 0)
@@ -230,4 +232,4 @@ def test_derivative_duality_diagnostic(p, capsys):
                 val = poly.derivative("x", kind.k)(0, y0)
             expected = 1 if other_slot == slot else 0
             worst = max(worst, abs(val - expected))
-    print(f"p={p}: worst derivative-functional deviation {worst}")
+    assert worst == 0
