@@ -32,6 +32,21 @@ conversions, and they share one `indices` and one `indptr` array.
 Edge derivative DOFs are interpreted in reference-element units and are not
 rescaled per element: on a uniform mesh both elements sharing an edge use
 the same h, so the identification is consistent as is.
+
+A tensor system on the unit square is separable.  Number the 1D DOFs of the
+order-p basis on the N cells of [0, 1] along the line, so that function i
+(0-based) of cell c is DOF c p + i; the 1D system has N p + 1 DOFs.  Every
+2D DOF of the tensor space is the product of 1D DOF ix in x and 1D DOF iy
+in y, and every pair (ix, iy) is one 2D DOF.  The element mass is (h/2)^2
+G x G and the element stiffness S x G + G x S, for the 1D reference tables
+G and S, while the 1D element matrices are (h/2) G and (2/h) S.  So, up to
+the permutation (ix, iy), M = M1 (x) M1 and L = S1 (x) M1 + M1 (x) S1 in
+exact arithmetic, with M1 and S1 the assembled 1D mass and stiffness.  The
+2D boundary is the set of pairs with ix or iy at an end of the line, so a
+Dirichlet system keeps exactly the pairs of free 1D DOFs: the 1D pencil
+drops its two end vertices and nothing else.  `assemble` attaches that
+1D pencil as the system's `LineFactor`; the eigensolver uses it, and the
+assembled M and L stay the ones it checks against.
 """
 
 from __future__ import annotations
@@ -45,8 +60,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis1d import generate_phi
-from .basis2d import slot_factors
-from .mesh import DofMap, Mesh
+from .basis2d import TENSOR, slot_factors
+from .mesh import SQUARE, DofMap, Mesh
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -63,6 +78,14 @@ class LocalMatrices:
 
     Rows/columns follow the slots of `basis2d.slot_factors` in grid order,
     which are the nonzero slots of the basis array.
+
+    For the tensor family, `line` holds the integer 1D tables (G, S, D) of
+    `_line_grams` for the order-p functions phi_1 .. phi_(p+1): int phi_a
+    phi_b = G[a][b] / D and int phi_a' phi_b' = S[a][b] / D over [-1, 1].
+    The reference matrices are then the Kronecker products (G x G) / D^2
+    and (S x G + G x S) / D^2, which `assemble` uses to attach a
+    `LineFactor` on the square (module docstring).  It is None for
+    serendipity, whose basis is not a single product table.
     """
 
     family: str
@@ -70,6 +93,7 @@ class LocalMatrices:
     slots: tuple[tuple[int, int], ...]
     mass_ref: tuple[tuple[Fraction, ...], ...]
     stiffness_ref: tuple[tuple[Fraction, ...], ...]
+    line: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int] | None = None
 
     @property
     def n(self) -> int:
@@ -167,8 +191,11 @@ def reference_matrices(family: str, p: int) -> LocalMatrices:
                     s_rc += s1 * s2 * (sx1[x2] * gy + gx * sy1[y2])
             mass[r][c] = mass[c][r] = Fraction(m_rc, D * D)
             stiff[r][c] = stiff[c][r] = Fraction(s_rc, D * D)
+    # the tensor family reads the one order p, so index[p, a] = a - 1 and the
+    # tables are those of phi_1 .. phi_(p+1) in order
+    line = (tuple(map(tuple, gram)), tuple(map(tuple, slope)), D) if family == TENSOR else None
     return LocalMatrices(
-        family, p, slots, tuple(map(tuple, mass)), tuple(map(tuple, stiff))
+        family, p, slots, tuple(map(tuple, mass)), tuple(map(tuple, stiff)), line
     )
 
 
@@ -199,17 +226,38 @@ def scale_to_element(
 
 
 @dataclass(frozen=True)
+class LineFactor:
+    """The free 1D pencil of a separable system (module docstring).
+
+    `mass` and `stiffness` are the dense free 1D M1 and S1.  Free DOF k of
+    the system is the product of 1D DOF `ix[k]` in x and 1D DOF `iy[k]` in
+    y, numbered among the free 1D DOFs; in exact arithmetic M[k, l] =
+    M1[ix_k, ix_l] M1[iy_k, iy_l] and L[k, l] = S1[ix_k, ix_l] M1[iy_k,
+    iy_l] + M1[ix_k, ix_l] S1[iy_k, iy_l].
+    """
+
+    mass: np.ndarray
+    stiffness: np.ndarray
+    ix: np.ndarray
+    iy: np.ndarray
+
+
+@dataclass(frozen=True)
 class GlobalSystem:
     """Assembled symmetric sparse pencil restricted to free DOFs.
 
     `free[i]` maps row/column i back to the DofMap's global index.  An
     assembled M and L share one index structure (`indices`, `indptr`), so
-    neither may be changed in place.
+    neither may be changed in place.  A tensor system on the unit square is
+    the Kronecker square of a 1D pencil up to a DOF permutation, under
+    either boundary condition (Dirichlet keeps exactly the products of free
+    1D DOFs); `factor` then holds that pencil, and it is None otherwise.
     """
 
     M: sp.csr_matrix
     L: sp.csr_matrix
     free: np.ndarray
+    factor: LineFactor | None = None
 
     @property
     def dimension(self) -> int:
@@ -221,7 +269,8 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
 
     Dirichlet removes every boundary DOF (values and edge derivatives
     alike); Neumann leaves the system untouched.  M and L come from one
-    COO to CSR conversion on one pattern (module docstring).
+    COO to CSR conversion on one pattern (module docstring).  A tensor
+    system on the square also gets its `LineFactor`.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -237,6 +286,10 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
                 "no free DOFs remain after boundary elimination "
                 f"({dofmap.family}, p={dofmap.p}, N={mesh.N}, {mesh.domain})"
             )
+    factor = None
+    if lm.line is not None and mesh.domain == SQUARE:
+        factor = _line_factor(mesh, dofs, free, lm, bc)
+    if bc == DIRICHLET:
         position = np.full(dofmap.total, -1, dtype=np.int32)
         position[free] = np.arange(free.size, dtype=np.int32)
         dofs = position[dofs]
@@ -259,7 +312,44 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
     pattern = (both.indices.copy(), both.indptr)
     M = sp.csr_matrix((np.ascontiguousarray(both.data.real), *pattern), shape=(size, size))
     L = sp.csr_matrix((np.ascontiguousarray(both.data.imag), *pattern), shape=(size, size))
-    return GlobalSystem(M, L, free)
+    return GlobalSystem(M, L, free, factor)
+
+
+def _line_factor(
+    mesh: Mesh, dofs: np.ndarray, free: np.ndarray, lm: LocalMatrices, bc: str
+) -> LineFactor:
+    """The free 1D pencil of a tensor system on the square and the 1D
+    indices of its free DOFs (module docstring).
+
+    1D function i of cell c is DOF c p + i, so local slot (i, j) of the
+    element at cell (cx, cy), 1-based, is the product of 1D DOFs
+    cx p + i - 1 and cy p + j - 1.  Each entry of the 1D element matrices
+    is rounded once from the integer tables: (h/2) G / D and (2/h) S / D.
+    """
+    p, N = lm.p, mesh.N
+    gram, slope, D = lm.line
+    half = mesh.h / 2
+    fn, fd = half.numerator, half.denominator
+    mass_el = np.array([[(g * fn) / (D * fd) for g in row] for row in gram])
+    stiff_el = np.array([[(s * fd) / (D * fn) for s in row] for row in slope])
+    size = N * p + 1
+    mass, stiffness = np.zeros((size, size)), np.zeros((size, size))
+    for c in range(N):
+        block = slice(c * p, c * p + p + 1)
+        mass[block, block] += mass_el
+        stiffness[block, block] += stiff_el
+
+    cells = np.array([element.cell for element in mesh.elements]) * p
+    slots = np.array(lm.slots) - 1
+    line_x, line_y = np.empty((2, dofs.max() + 1), dtype=np.int64)
+    line_x[dofs] = cells[:, :1] + slots[:, 0]
+    line_y[dofs] = cells[:, 1:] + slots[:, 1]
+    ix, iy = line_x[free], line_y[free]
+    if bc == DIRICHLET:
+        # the free DOFs are the pairs of 1D DOFs 1 .. size - 2
+        inner = slice(1, -1)
+        return LineFactor(mass[inner, inner], stiffness[inner, inner], ix - 1, iy - 1)
+    return LineFactor(mass, stiffness, ix, iy)
 
 
 def write_matrix_coo(matrix: sp.spmatrix, path) -> None:

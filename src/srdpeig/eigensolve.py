@@ -1,13 +1,26 @@
 """Symmetric-definite generalized eigensolver L v = lambda M v.
 
-Two paths, chosen from the input:
+With no target, the pencil is densified and handed to one LAPACK call,
+`scipy.linalg.eigh(L, M)`, for the full spectrum; spectrum tables and the
+oracle tests use it.  With a target, the `K` eigenpairs nearest it are
+found (ties break toward the smaller eigenvalue, as in `select_near`) by
+one of three paths.  The rule reads only the system: a system that carries
+a `LineFactor` (a tensor system on the unit square) is separable; any other
+takes the dense path up to `DENSE_MAX_DOFS` DOFs and shift-invert above.
+Nothing else selects a path, and `DENSE_MAX_DOFS` does not apply to a
+separable system.
 
-* Dense: the pencil is densified and handed to one LAPACK call,
-  `scipy.linalg.eigh(L, M)`.  With no target this is the full spectrum;
-  spectrum tables and the oracle tests use it.  With a target and at most
-  `DENSE_MAX_DOFS` DOFs, the `K` eigenpairs nearest the target are kept
-  (ties break toward the smaller eigenvalue, as in `select_near`).
-* Shift-invert: given a target and more than `DENSE_MAX_DOFS` DOFs, the `K`
+* Separable: the system is the Kronecker square of its 1D pencil (S1, M1)
+  up to a DOF permutation (`assembly` module docstring), so its eigenpairs
+  are (mu_a + mu_b, u_a x u_b) for the eigenpairs (mu, u) of (S1, M1) --
+  separation of variables, the fast diagonalization of Lynch, Rice &
+  Thomas (Numer. Math. 6, 1964).  One `eigh(S1, M1)` call of at most
+  N p + 1 DOFs gives every mu; the `K` sums nearest the target give the
+  vectors U[ix, a] U[iy, b] on the system's DOFs.  No sparse factorization
+  and no Lanczos iteration run.
+* Dense: at most `DENSE_MAX_DOFS` DOFs: one `eigh(L, M)` call of the
+  densified pencil, whose `K` pairs nearest the target are kept.
+* Shift-invert: more than `DENSE_MAX_DOFS` DOFs: the `K`
   eigenpairs nearest the target come from shift-invert Lanczos about it
   (ARPACK through `scipy.sparse.linalg.eigsh` with `sigma=target`) on the
   sparse matrices.  A study point needs only the eigenvalue nearest its
@@ -26,21 +39,22 @@ Two paths, chosen from the input:
   factorization is the Lanczos operator.  A target at which a is exactly
   singular in floating point raises `SingularShift`.
 
-`DENSE_MAX_DOFS` = 200 is where the two targeted paths cost about the same.
-Medians of 41 `solve_generalized` calls at 2 BLAS threads (Intel Xeon, 2
-vCPUs), dense against shift-invert: 1.8 against 4.0 ms at 96 DOFs, 2.9
-against 5.8 ms at 121, 5.0 against 5.0 ms at 161, 6.6 against 5.9 ms at
+`DENSE_MAX_DOFS` = 200 is where the dense and shift-invert paths cost about
+the same.  Medians of 41 `solve_generalized` calls at 2 BLAS threads (Intel
+Xeon, 2 vCPUs), dense against shift-invert: 1.8 against 4.0 ms at 96 DOFs,
+2.9 against 5.8 ms at 121, 5.0 against 5.0 ms at 161, 6.6 against 5.9 ms at
 185, 9.9 against 9.4 ms at 225, 12.3 against 7.0 ms at 253 and 16.3
 against 9.8 ms at 289.  Below it, ARPACK's fixed cost outweighs the
 O(n^3) of LAPACK: it makes 21 to 37 shift-invert solves and 62 to 110
 M-products even at 45 to 121 DOFs.
 
-Both targeted paths end in one `_finish` on the original, unscaled pencil:
-each pair must have a positive M-norm, its eigenvalue is the Rayleigh
-quotient v^T L v / v^T M v of its vector (not the Ritz or LAPACK value),
-and its backward error ||L v - lambda M v||_1 / ((||L||_1 + |lambda|
-||M||_1) ||v||_1) is recorded in the result.  The matrix 1-norms are exact
-(the largest absolute column sum of the sparse matrix), not estimates.
+All three targeted paths end in one `_finish` on the original, unscaled,
+assembled pencil: each pair must have a positive M-norm, its eigenvalue is
+the Rayleigh quotient v^T L v / v^T M v of its vector (not the Ritz or
+LAPACK value), and its backward error ||L v - lambda M v||_1 /
+((||L||_1 + |lambda| ||M||_1) ||v||_1) is recorded in the result.  The
+matrix 1-norms are exact (the largest absolute column sum of the sparse
+matrix), not estimates.
 The accuracy gate sits at selection: `select_near` raises when a pair it
 returns has a backward error above `BACKWARD_ERROR_TOL`.  The far members
 of a targeted window are not gated.  Shift-invert converges the values
@@ -48,17 +62,22 @@ of a targeted window are not gated.  Shift-invert converges the values
 very close to an eigenvalue, a far pair can lose digits that the selected
 pairs keep.  A system of at most `K` DOFs returns all its pairs.
 
-The mass check is weak on the shift-invert path.  ARPACK assumes M > 0 and
-does not test it, so `MassNotPD` is raised only when a vector it returns has
-v^T M v <= 0.  An indefinite M whose negative direction stays out of the
-returned vectors gives eigenvalues and no `MassNotPD`.  The test pencil
+The mass check is full on the dense and separable paths and weak on the
+shift-invert path.  The dense path's Cholesky factorization of M checks M in
+full.  On the separable path M = M1 (x) M1 up to a permutation and
+rounding.  The eigenvalues of M1 (x) M1 are the products of pairs of those
+of M1, and M1 has a positive diagonal, so M is positive definite exactly
+when M1 is: the Cholesky factorization of M1 inside `eigh(S1, M1)` checks
+M in full too, and its failure raises `MassNotPD`.  ARPACK assumes M > 0
+and does not test it, so `MassNotPD` is raised only when a vector it
+returns has v^T M v <= 0.  An indefinite M whose negative direction stays
+out of the returned vectors gives eigenvalues and no `MassNotPD`.  The test pencil
 diag(1..50), M = I but -1 at index 10, about target 2.5 raises it with
 ARPACK's default 20 Lanczos vectors; with 10 or 12 of them and tolerance
 1e-10 the window comes back as 2, 3 and a spurious third value, and only
-the selection gate (backward errors ~1e-6) rejects it.  The dense path's
-Cholesky factorization checks M in full.
+the selection gate (backward errors ~1e-6) rejects it.
 
-Eigenvalues come back real and ascending on both paths.
+Eigenvalues come back real and ascending on every path.
 """
 
 from __future__ import annotations
@@ -74,7 +93,8 @@ from .assembly import GlobalSystem
 
 #: Eigenpairs a targeted solve returns: a double eigenvalue plus one neighbour.
 K = 3
-#: Largest system a targeted solve hands to the dense path (module docstring).
+#: Largest system without a `LineFactor` that a targeted solve hands to the
+#: dense path (module docstring).
 DENSE_MAX_DOFS = 200
 #: Largest backward error a selected eigenpair may have to be accepted.
 BACKWARD_ERROR_TOL = 1e-8
@@ -124,36 +144,61 @@ def solve_generalized(
 
     With no target, the full spectrum from one dense `eigh` call.  With a
     target, the `K` eigenpairs nearest it (all of them when there are at
-    most `K`): from the dense call when the system has at most
-    `DENSE_MAX_DOFS` DOFs, from sparse shift-invert otherwise.  Both
-    targeted paths return Rayleigh quotients with backward errors through
-    one `_finish` (module docstring).
+    most `K`): from the 1D pencil when the system carries a `LineFactor`,
+    else from the dense call when the system has at most `DENSE_MAX_DOFS`
+    DOFs, else from sparse shift-invert.  Every targeted path returns
+    Rayleigh quotients with backward errors through one `_finish` (module
+    docstring).
     """
     n = system.dimension
     if n == 0:
         return EigenResult(np.empty(0))
     if target is None:
-        w, vectors = _dense_eigh(system, with_vectors)
+        w, vectors = _eigh(system.L.toarray(), system.M.toarray(), with_vectors)
         return EigenResult(w, vectors, ndofs=n)
+    if system.factor is not None:
+        return _solve_separable(system, target, with_vectors)
     if n > max(K, DENSE_MAX_DOFS):
         return _solve_near(system, target, with_vectors)
-    w, V = _dense_eigh(system, True)
-    return _finish(system.M, system.L, target, V[:, _nearest(w, target, K)], with_vectors)
+    return _solve_dense(system, target, with_vectors)
 
 
-def _dense_eigh(system: GlobalSystem, with_vectors: bool):
-    """(eigenvalues, eigenvectors or None) of the densified pencil by one
-    LAPACK call."""
+def _eigh(L: np.ndarray, M: np.ndarray, with_vectors: bool):
+    """(eigenvalues, eigenvectors or None) of the dense pencil (L, M) by one
+    LAPACK call; a failed Cholesky factorization of M raises MassNotPD."""
     try:
-        result = eigh(system.L.toarray(), system.M.toarray(), eigvals_only=not with_vectors)
+        result = eigh(L, M, eigvals_only=not with_vectors)
     except np.linalg.LinAlgError as exc:
         # M is eigh's B; its failed Cholesky reads "... of B is not positive definite"
         if "positive definite" not in str(exc):
             raise
         raise MassNotPD(
-            f"mass matrix of dimension {system.dimension} is not positive definite"
+            f"mass matrix of dimension {M.shape[0]} is not positive definite"
         ) from exc
     return result if with_vectors else (result, None)
+
+
+def _solve_dense(system: GlobalSystem, target: float, with_vectors: bool) -> EigenResult:
+    """The K eigenpairs nearest the target from one dense `eigh` of the
+    pencil, checked by `_finish`."""
+    w, V = _eigh(system.L.toarray(), system.M.toarray(), True)
+    return _finish(system.M, system.L, target, V[:, _nearest(w, target, K)], with_vectors)
+
+
+def _solve_separable(system: GlobalSystem, target: float, with_vectors: bool) -> EigenResult:
+    """The K eigenpairs nearest the target from the system's 1D pencil,
+    checked by `_finish` on the assembled one.
+
+    The eigenpairs of the Kronecker pencil are (mu_a + mu_b, u_a x u_b) for
+    the eigenpairs (mu, u) of (S1, M1); the K sums nearest the target give
+    the vectors U[ix, a] U[iy, b] (module docstring).
+    """
+    line = system.factor
+    mu, U = _eigh(line.stiffness, line.mass, True)
+    sums = (mu[:, None] + mu).ravel()
+    a, b = np.divmod(_nearest(sums, target, K), mu.size)
+    V = U[line.ix[:, None], a] * U[line.iy[:, None], b]
+    return _finish(system.M, system.L, target, V, with_vectors)
 
 
 def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> EigenResult:

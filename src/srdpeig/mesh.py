@@ -189,7 +189,10 @@ class DofMap:
     _boundary: np.ndarray = field(repr=False)
 
     def free_dofs(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.total), self._boundary)
+        """Ascending global indices of the DOFs not on the boundary."""
+        free = np.ones(self.total, dtype=bool)
+        free[self._boundary] = False
+        return np.flatnonzero(free)
 
 
 def dof_totals(mesh: Mesh, family: str, p: int) -> int:

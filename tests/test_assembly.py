@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from oracles import (
@@ -13,6 +14,7 @@ from oracles import (
     Poly,
     basis_functions,
     coordinates,
+    dirichlet_p1_eigenvalues_1d,
     exact_gram,
     gauss_box_integral,
     matrix_digest,
@@ -109,6 +111,21 @@ class TestLocalMatrices:
                 exact_s = float(lm.stiffness_ref[a][b])
                 quad = gauss_box_integral(gax * gbx + gay * gby)
                 assert abs(exact_s - quad) < 1e-11
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_tensor_matrices_are_kronecker_products_of_line_tables(self, p):
+        lm = reference_matrices("tensor", p)
+        G, S, D = lm.line
+        assert len(G) == len(S) == p + 1
+        for (i, j), row_m, row_s in zip(lm.slots, lm.mass_ref, lm.stiffness_ref):
+            for (k, l), m, s in zip(lm.slots, row_m, row_s):
+                g_x, g_y = G[i - 1][k - 1], G[j - 1][l - 1]
+                assert m == Fraction(g_x * g_y, D * D)
+                assert s == Fraction(S[i - 1][k - 1] * g_y + g_x * S[j - 1][l - 1], D * D)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_serendipity_has_no_line_tables(self, p):
+        assert reference_matrices("serendipity", p).line is None
 
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
     @pytest.mark.parametrize("p", [1, 3])
@@ -269,6 +286,55 @@ class TestAssemble:
         residual = np.abs(system.L @ c).max()
         scale = np.abs(system.L.data).max()
         assert residual <= 1e-12 * scale
+
+
+class TestLineFactor:
+    """The 1D pencil a tensor system on the square carries: its Kronecker
+    square is the assembled pencil, up to the DOF permutation (ix, iy)."""
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_kronecker_square_is_the_assembled_pencil(self, bc, p):
+        for N in range(1, 6):
+            if (bc, p, N) == ("dirichlet", 1, 1):
+                continue  # no free DOF
+            mesh = build_mesh("square", N)
+            system = assemble(
+                mesh, build_dof_map(mesh, "tensor", p), reference_matrices("tensor", p), bc
+            )
+            line = system.factor
+            size = N * p + 1 - (2 if bc == "dirichlet" else 0)
+            assert line.mass.shape == line.stiffness.shape == (size, size)
+            assert system.dimension == size * size
+            # every pair of free 1D DOFs is exactly one free 2D DOF
+            pairs = line.ix * size + line.iy
+            assert np.array_equal(np.sort(pairs), np.arange(size * size))
+            x, y = np.ix_(line.ix, line.ix), np.ix_(line.iy, line.iy)
+            mx, my, sx, sy = line.mass[x], line.mass[y], line.stiffness[x], line.stiffness[y]
+            # each side rounds a few exact products once: agreement to
+            # rounding of the largest entry
+            for ours, kron in ((system.M, mx * my), (system.L, sx * my + mx * sy)):
+                assert np.abs(ours.toarray() - kron).max() <= 1e-15 * np.abs(kron).max()
+
+    @pytest.mark.parametrize("N", range(2, 6))
+    def test_bilinear_dirichlet_line_spectrum(self, N):
+        mesh = build_mesh("square", N)
+        system = assemble(
+            mesh, build_dof_map(mesh, "tensor", 1), reference_matrices("tensor", 1), "dirichlet"
+        )
+        mu = scipy.linalg.eigh(system.factor.stiffness, system.factor.mass, eigvals_only=True)
+        assert mu == pytest.approx(dirichlet_p1_eigenvalues_1d(N), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "domain, family", [("square", "serendipity"), ("lshape", "tensor")]
+    )
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_only_tensor_on_square_is_separable(self, domain, family, bc):
+        mesh = build_mesh(domain, 2)
+        system = assemble(
+            mesh, build_dof_map(mesh, family, 3), reference_matrices(family, 3), bc
+        )
+        assert system.factor is None
 
 
 @pytest.mark.parametrize("family", ["tensor", "serendipity"])

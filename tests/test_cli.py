@@ -72,6 +72,8 @@ def test_study_accepts_float_target(tmp_path):
 
 
 def test_study_inaccurate_solve_exits_nonzero(tmp_path, monkeypatch, capsys):
+    # serendipity: a tensor study on the square takes the separable path,
+    # which never calls eigsh
     real = eigensolve.eigsh
 
     def perturbed(*args, **kwargs):
@@ -93,7 +95,7 @@ def test_study_inaccurate_solve_exits_nonzero(tmp_path, monkeypatch, capsys):
             "--bc",
             "dirichlet",
             "--family",
-            "tensor",
+            "serendipity",
             "--sweep",
             "h",
             "--fixed",
@@ -109,13 +111,12 @@ def test_study_inaccurate_solve_exits_nonzero(tmp_path, monkeypatch, capsys):
     assert not csv_path.exists()
 
 
-def test_study_target_near_eigenvalue_exits_zero(tmp_path, monkeypatch):
+def test_study_target_near_eigenvalue_exits_zero(tmp_path):
     """At tensor p = 6, N = 2 the 5 pi^2 target lies about 1e-7 from the
-    computed double eigenvalue.  Shift-invert then resolves the far pair of
-    the window (the neighbour 2 pi^2) less accurately than the selected
-    pairs; only the selected pairs are gated.  These systems are small
-    enough for the dense path, so shift-invert is forced."""
-    monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
+    computed double eigenvalue.  The study takes the separable path on
+    these systems; `test_eigensolve` solves the same systems by
+    shift-invert, where the far pair of the window is the less accurate
+    one and only the selected pairs are gated."""
     csv_path = tmp_path / "five.csv"
     argv = "study --domain square --bc dirichlet --family tensor --sweep p --fixed 2"
     assert main(argv.split() + ["--target", "five_pi_sq", "--csv", str(csv_path)]) == 0

@@ -1,6 +1,7 @@
 """Generalized eigensolver: dense and targeted paths, selection and its
 accuracy gate, spectrum errors, and independent cross-checks."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -29,7 +30,13 @@ from srdpeig.eigensolve import (
     solve_generalized,
 )
 from srdpeig.mesh import build_dof_map, build_mesh
-from srdpeig.studies import TARGET_PRESETS, exact_square_spectrum, solve_configuration
+from srdpeig.studies import (
+    N_RANGE,
+    P_RANGE,
+    TARGET_PRESETS,
+    exact_square_spectrum,
+    solve_configuration,
+)
 
 TWO_PI_SQ = 2 * math.pi**2
 FIVE_PI_SQ = 5 * math.pi**2
@@ -40,9 +47,22 @@ def synthetic_system(L: np.ndarray, M: np.ndarray) -> GlobalSystem:
     return GlobalSystem(sp.csr_matrix(M), sp.csr_matrix(L), np.arange(n))
 
 
+def assembled(domain: str, bc: str, family: str, p: int, N: int) -> GlobalSystem:
+    mesh = build_mesh(domain, N)
+    return assemble(mesh, build_dof_map(mesh, family, p), reference_matrices(family, p), bc)
+
+
+def general(domain: str, bc: str, family: str, p: int, N: int) -> GlobalSystem:
+    """The assembled system without its `LineFactor`: a tensor system on
+    the square then takes the dense or shift-invert path, as any other."""
+    return dataclasses.replace(assembled(domain, bc, family, p, N), factor=None)
+
+
 @pytest.fixture
 def shift_invert(monkeypatch):
-    """Send every targeted solve with more than K DOFs to shift-invert."""
+    """Send every targeted solve of more than K DOFs that has no
+    `LineFactor` to shift-invert.  Tests that reach this path with a tensor
+    system on the square solve it without its factor (`general`)."""
     monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
 
 
@@ -126,22 +146,31 @@ class TestTargetedSolve:
 
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
     def test_double_eigenvalue_both_copies(self, family):
-        window = solve_configuration("square", "dirichlet", family, 3, 3, target=FIVE_PI_SQ)
-        dense = solve_configuration("square", "dirichlet", family, 3, 3)
+        system = general("square", "dirichlet", family, 3, 3)
+        window = solve_generalized(system, target=FIVE_PI_SQ)
+        dense = solve_generalized(system)
         ours = select_near(window, FIVE_PI_SQ, multiplicity=2)
         theirs = select_near(dense, FIVE_PI_SQ, multiplicity=2)
         assert ours == pytest.approx(theirs, rel=1e-10, abs=0)
         assert abs(ours[1] - ours[0]) < 1e-9 * ours[0]
 
     def test_vectors_satisfy_pencil(self):
-        mesh = build_mesh("square", 2)
-        dm = build_dof_map(mesh, "tensor", 2)
-        system = assemble(mesh, dm, reference_matrices("tensor", 2), "dirichlet")
+        system = general("square", "dirichlet", "tensor", 2, 2)
         result = solve_generalized(system, with_vectors=True, target=TWO_PI_SQ)
         assert result.eigenvectors.shape == (system.dimension, K)
         V = result.eigenvectors
         residual = system.L @ V - (system.M @ V) * result.eigenvalues
         assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
+
+    @pytest.mark.parametrize("p", P_RANGE)
+    def test_target_near_double_eigenvalue(self, p):
+        # at p = 6, N = 2 the target lies about 1e-7 from the computed double
+        # 5 pi^2, so the far pair of the window (2 pi^2) is resolved less
+        # accurately than the selected ones; only those are gated
+        system = general("square", "dirichlet", "tensor", p, 2)
+        window = solve_generalized(system, target=FIVE_PI_SQ)
+        expected = select_near(solve_generalized(system), FIVE_PI_SQ)[0]
+        assert abs(select_near(window, FIVE_PI_SQ)[0] - expected) <= 1e-10 * expected
 
     def test_indefinite_mass_raises(self):
         # ARPACK's shift-invert mode assumes M > 0; here it returned 2.40,
@@ -160,7 +189,8 @@ class TestTargetedSolve:
             return w, spoil(V)
 
         monkeypatch.setattr(eigensolve, "eigsh", perturbed)
-        result = solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
+        system = general("square", "dirichlet", "tensor", 2, 3)
+        result = solve_generalized(system, target=TWO_PI_SQ)
         with pytest.raises(SolveNotConverged, match="backward error"):
             select_near(result, TWO_PI_SQ)
 
@@ -177,13 +207,14 @@ class TestTargetedSolve:
             return w, spoil(V, pick(np.abs(w - kwargs["sigma"])))
 
         monkeypatch.setattr(eigensolve, "eigsh", perturbed)
-        window = solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
+        system = general("square", "dirichlet", "tensor", 2, 3)
+        window = solve_generalized(system, target=TWO_PI_SQ)
         assert (window.backward_error > BACKWARD_ERROR_TOL).sum() == 1
         if selected:
             with pytest.raises(SolveNotConverged, match="backward error"):
                 select_near(window, TWO_PI_SQ)
         else:
-            dense = solve_configuration("square", "dirichlet", "tensor", 2, 3)
+            dense = solve_generalized(system)
             ours = select_near(window, TWO_PI_SQ)
             assert ours == pytest.approx(select_near(dense, TWO_PI_SQ), rel=1e-10, abs=0)
 
@@ -291,8 +322,9 @@ class TestTargetedSolve:
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
         monkeypatch.setattr(eigensolve, "eigsh", stalled)
+        system = general("square", "dirichlet", "tensor", 2, 3)
         with pytest.raises(SolveNotConverged):
-            solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
+            solve_generalized(system, target=TWO_PI_SQ)
 
 
 class TestDenseWindow:
@@ -310,10 +342,11 @@ class TestDenseWindow:
         ],
     )
     def test_matches_shift_invert(self, monkeypatch, domain, bc, family, p, N, target):
-        window = solve_configuration(domain, bc, family, p, N, target=target)
+        system = general(domain, bc, family, p, N)
+        window = solve_generalized(system, target=target)
         assert K < window.ndofs <= eigensolve.DENSE_MAX_DOFS
         monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
-        forced = solve_configuration(domain, bc, family, p, N, target=target)
+        forced = solve_generalized(system, target=target)
         assert window.target == forced.target == target
         scale = np.maximum(np.abs(forced.eigenvalues), target)
         assert (np.abs(window.eigenvalues - forced.eigenvalues) <= 1e-10 * scale).all()
@@ -327,15 +360,14 @@ class TestDenseWindow:
             return w, spoil(V)
 
         monkeypatch.setattr(eigensolve, "eigh", perturbed)
-        result = solve_configuration("square", "dirichlet", "tensor", 2, 3, target=TWO_PI_SQ)
+        system = general("square", "dirichlet", "tensor", 2, 3)
+        result = solve_generalized(system, target=TWO_PI_SQ)
         assert result.ndofs <= eigensolve.DENSE_MAX_DOFS
         with pytest.raises(SolveNotConverged, match="backward error"):
             select_near(result, TWO_PI_SQ)
 
     def test_vectors_only_when_requested(self):
-        mesh = build_mesh("square", 2)
-        dm = build_dof_map(mesh, "tensor", 2)
-        system = assemble(mesh, dm, reference_matrices("tensor", 2), "dirichlet")
+        system = general("square", "dirichlet", "tensor", 2, 2)
         assert solve_generalized(system, target=TWO_PI_SQ).eigenvectors is None
         result = solve_generalized(system, with_vectors=True, target=TWO_PI_SQ)
         V = result.eigenvectors
@@ -345,7 +377,8 @@ class TestDenseWindow:
 
     def test_small_system_returns_all_pairs(self):
         # one free DOF: the window is the whole spectrum, still checked
-        result = solve_configuration("square", "dirichlet", "tensor", 1, 2, target=TWO_PI_SQ)
+        system = general("square", "dirichlet", "tensor", 1, 2)
+        result = solve_generalized(system, target=TWO_PI_SQ)
         assert result.target == TWO_PI_SQ
         assert result.eigenvalues.tolist() == pytest.approx([24.0], rel=1e-12)
         assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
@@ -353,13 +386,101 @@ class TestDenseWindow:
     def test_neumann_target_zero_returns_constant_mode(self, monkeypatch):
         # L is singular: the dense path returns its constant mode, where
         # shift-invert about 0 cannot factor L - 0 M
-        args = ("square", "neumann", "tensor", 1, 1)
-        result = solve_configuration(*args, target=0.0)
+        system = general("square", "neumann", "tensor", 1, 1)
+        result = solve_generalized(system, target=0.0)
         assert result.ndofs == 4
         assert abs(select_near(result, 0.0)[0]) < 1e-12
         monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
         with pytest.raises(SingularShift):
-            solve_configuration(*args, target=0.0)
+            solve_generalized(system, target=0.0)
+
+
+class TestSeparable:
+    """Targeted solves of tensor systems on the square: eigenpairs from the
+    1D pencil, finished and gated on the assembled one."""
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("p", [*P_RANGE, 7, 8])
+    def test_agrees_with_general_path(self, bc, p):
+        # only the selected members are compared: the far member of a window
+        # can be a near-tie (Dirichlet p = 6, N = 5 about 5 pi^2 keeps 2 pi^2
+        # on one path and 8 pi^2 on the other)
+        for N in N_RANGE:
+            if (bc, p, N) == ("dirichlet", 1, 1):
+                continue  # no free DOF
+            system = assembled("square", bc, "tensor", p, N)
+            assert system.factor is not None
+            without = dataclasses.replace(system, factor=None)
+            for target in TARGET_PRESETS.values():
+                # select_near raises if a selected backward error is outside the gate
+                lam = select_near(solve_generalized(system, target=target), target)[0]
+                expected = select_near(solve_generalized(without, target=target), target)[0]
+                assert abs(lam - expected) <= 1e-12 * max(abs(expected), target)
+
+    def test_both_copies_of_five_pi_sq(self, monkeypatch):
+        # the separable path ignores DENSE_MAX_DOFS
+        monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
+        system = assembled("square", "dirichlet", "tensor", 3, 3)
+        window = solve_generalized(system, target=FIVE_PI_SQ)
+        dense = solve_generalized(system)
+        ours = select_near(window, FIVE_PI_SQ, multiplicity=2)
+        theirs = select_near(dense, FIVE_PI_SQ, multiplicity=2)
+        assert ours == pytest.approx(theirs, rel=1e-10, abs=0)
+        assert abs(ours[1] - ours[0]) < 1e-9 * ours[0]
+
+    def test_vectors_only_when_requested(self):
+        system = assembled("square", "neumann", "tensor", 4, 3)
+        assert solve_generalized(system, target=FIVE_PI_SQ).eigenvectors is None
+        result = solve_generalized(system, with_vectors=True, target=FIVE_PI_SQ)
+        V = result.eigenvectors
+        assert V.shape == (system.dimension, K)
+        residual = system.L @ V - (system.M @ V) * result.eigenvalues
+        assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
+        assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
+
+    def test_small_system_returns_all_pairs(self):
+        # one free DOF: the 1D pencil has one free DOF too
+        system = assembled("square", "dirichlet", "tensor", 1, 2)
+        assert system.factor.mass.shape == (1, 1)
+        result = solve_generalized(system, target=TWO_PI_SQ)
+        assert result.eigenvalues.tolist() == pytest.approx([24.0], rel=1e-12)
+        assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
+
+    def test_gate_fires_when_line_vectors_are_spoiled(self, monkeypatch):
+        real, shapes = eigensolve.eigh, []
+
+        def perturbed(*args, **kwargs):
+            shapes.append(args[0].shape)
+            w, V = real(*args, **kwargs)
+            return w, spoil(V)
+
+        monkeypatch.setattr(eigensolve, "eigh", perturbed)
+        system = assembled("square", "dirichlet", "tensor", 2, 3)
+        result = solve_generalized(system, target=TWO_PI_SQ)
+        assert shapes == [(5, 5)]  # one eigh, of the free 1D pencil
+        with pytest.raises(SolveNotConverged, match="backward error"):
+            select_near(result, TWO_PI_SQ)
+
+    def test_indefinite_line_mass_raises(self):
+        system = assembled("square", "dirichlet", "tensor", 2, 3)
+        mass = system.factor.mass.copy()
+        mass[2, 2] = -mass[2, 2]
+        broken = dataclasses.replace(system, factor=dataclasses.replace(system.factor, mass=mass))
+        with pytest.raises(MassNotPD):
+            solve_generalized(broken, target=TWO_PI_SQ)
+
+    @pytest.mark.parametrize("p, N", [(1, 1), (3, 2)])
+    def test_neumann_target_zero_returns_constant_mode(self, monkeypatch, p, N):
+        # no factorization of L - 0 M, so no SingularShift at any size
+        monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
+        system = assembled("square", "neumann", "tensor", p, N)
+        result = solve_generalized(system, with_vectors=True, target=0.0)
+        assert abs(select_near(result, 0.0)[0]) < 1e-12
+        v = result.eigenvectors[:, 0]
+        # the constant mode takes one value at every vertex
+        mesh = build_mesh("square", N)
+        vertex_values = v[: mesh.n_vertices]
+        assert np.ptp(vertex_values) < 1e-12 * np.abs(vertex_values).max()
 
 
 class TestRayleighQuotient:

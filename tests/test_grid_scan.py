@@ -3,14 +3,18 @@ family, order p = 1..6 and mesh N = 1..5, at every target preset, is
 solved and its nearest eigenvalue passes the accuracy gate.
 
 2 domains x 2 BCs x 6 targets x 2 families x 6 orders x 5 meshes = 1,440
-targeted solves (exact pi^2 is the preset `lshape_neumann_3`).  The
-systems lie on both sides of `DENSE_MAX_DOFS`, so both targeted paths are
-scanned.  It takes about 9 s on 2 cores.
+targeted solves (exact pi^2 is the preset `lshape_neumann_3`).  Tensor
+systems on the square take the separable path; the others lie on both sides
+of `DENSE_MAX_DOFS`, so all three targeted paths are scanned.  It takes
+about 9 s on 2 cores.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import srdpeig.eigensolve as eigensolve
 from srdpeig.assembly import EmptySystem, assemble, reference_matrices
 from srdpeig.basis2d import FAMILIES
 from srdpeig.eigensolve import (
@@ -38,9 +42,22 @@ EMPTY_DIRICHLET = {
 }
 
 
+#: The targeted paths of `solve_generalized`, by the private function that
+#: runs each.
+PATHS = ("_solve_separable", "_solve_dense", "_solve_near")
+
+
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("domain", ["square", "lshape"])
-def test_every_configuration_solves(domain, bc):
+def test_every_configuration_solves(monkeypatch, domain, bc):
+    paths = Counter()
+    for name in PATHS:
+
+        def counted(*args, _real=getattr(eigensolve, name), _name=name):
+            paths[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(eigensolve, name, counted)
     failures, empty, sizes = [], set(), set()
     for N in N_RANGE:
         mesh = build_mesh(domain, N)
@@ -69,3 +86,5 @@ def test_every_configuration_solves(domain, bc):
     assert failures == []
     assert empty == (EMPTY_DIRICHLET[domain] if bc == "dirichlet" else set())
     assert min(sizes) <= DENSE_MAX_DOFS < max(sizes)
+    # the square's tensor systems are separable; every other path is taken too
+    assert set(paths) == (set(PATHS) if domain == "square" else set(PATHS[1:]))

@@ -84,6 +84,18 @@ class TestBoundary:
 
 
 class TestDofMap:
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    @pytest.mark.parametrize("family", ["tensor", "serendipity"])
+    def test_free_dofs_are_the_set_difference(self, domain, family):
+        for N in range(1, 6):
+            mesh = build_mesh(domain, N)
+            for p in range(1, 9):
+                dm = build_dof_map(mesh, family, p)
+                expected = np.setdiff1d(np.arange(dm.total), dm._boundary)
+                free = dm.free_dofs()
+                assert free.dtype == expected.dtype
+                assert np.array_equal(free, expected)
+
     def test_total_examples(self):
         assert dof_totals(build_mesh("square", 2), "tensor", 2) == 25
         assert dof_totals(build_mesh("square", 2), "serendipity", 2) == 21
