@@ -276,7 +276,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
         raise ValueError(f"unknown boundary condition {bc!r}")
     if (dofmap.family, dofmap.p) != (lm.family, lm.p):
         raise ValueError("local matrices do not match the DOF map family/order")
-    dofs = np.asarray(dofmap.element_dofs, dtype=np.int32)  # (elements, local)
+    dofs = dofmap.element_dofs  # (elements, local) int32
     if bc == NEUMANN:
         free = np.arange(dofmap.total, dtype=np.int64)
     else:
@@ -339,7 +339,7 @@ def _line_factor(
         mass[block, block] += mass_el
         stiffness[block, block] += stiff_el
 
-    cells = np.array([element.cell for element in mesh.elements]) * p
+    cells = mesh.cells * p
     slots = np.array(lm.slots) - 1
     line_x, line_y = np.empty((2, dofs.max() + 1), dtype=np.int64)
     line_x[dofs] = cells[:, :1] + slots[:, 0]

@@ -62,20 +62,22 @@ of a targeted window are not gated.  Shift-invert converges the values
 very close to an eigenvalue, a far pair can lose digits that the selected
 pairs keep.  A system of at most `K` DOFs returns all its pairs.
 
-The mass check is full on the dense and separable paths and weak on the
+The mass check is full on the dense and separable paths and partial on the
 shift-invert path.  The dense path's Cholesky factorization of M checks M in
 full.  On the separable path M = M1 (x) M1 up to a permutation and
 rounding.  The eigenvalues of M1 (x) M1 are the products of pairs of those
 of M1, and M1 has a positive diagonal, so M is positive definite exactly
 when M1 is: the Cholesky factorization of M1 inside `eigh(S1, M1)` checks
 M in full too, and its failure raises `MassNotPD`.  ARPACK assumes M > 0
-and does not test it, so `MassNotPD` is raised only when a vector it
-returns has v^T M v <= 0.  An indefinite M whose negative direction stays
-out of the returned vectors gives eigenvalues and no `MassNotPD`.  The test pencil
-diag(1..50), M = I but -1 at index 10, about target 2.5 raises it with
-ARPACK's default 20 Lanczos vectors; with 10 or 12 of them and tolerance
-1e-10 the window comes back as 2, 3 and a spurious third value, and only
-the selection gate (backward errors ~1e-6) rejects it.
+and does not test it, so the shift-invert path first checks that M's
+diagonal is positive, which M > 0 requires.  The test is exact and O(n),
+and its failure raises `MassNotPD` before anything is factored, whatever
+ARPACK's subspace: on the pencil L = diag(1..50), M = I but -1 at index
+10, about target 2.5, ARPACK with 10 Lanczos vectors and tolerance 1e-10,
+or 11 and tolerance 0, returns windows such as 2, 3 and a spurious third
+value.  The test does not catch an indefinite M with a positive diagonal.
+Then `_finish` raises `MassNotPD` only when a returned vector has
+v^T M v <= 0; otherwise only the selection gate can reject the window.
 
 Eigenvalues come back real and ascending on every path.
 """
@@ -101,8 +103,8 @@ BACKWARD_ERROR_TOL = 1e-8
 
 
 class MassNotPD(RuntimeError):
-    """Mass matrix is not positive definite (failed Cholesky, or an
-    eigenvector with v^T M v <= 0)."""
+    """Mass matrix is not positive definite (failed Cholesky, a diagonal
+    entry <= 0, or an eigenvector with v^T M v <= 0)."""
 
 
 class InsufficientSpectrum(ValueError):
@@ -210,6 +212,9 @@ def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> Eige
     pencil = system.M + 1j * system.L
     pattern = (pencil.indices, pencil.indptr)
     m, l = pencil.data.real.copy(), pencil.data.imag.copy()
+    M = sp.csr_matrix((m, *pattern), shape=(n, n))
+    if (M.diagonal() <= 0).any():
+        raise MassNotPD(f"mass matrix of dimension {n} has a diagonal entry <= 0")
     a = l - target * m
     # D = 2^(-round(log2|a_ii| / 2)) for a = L - target M, and 1 where a_ii
     # is 0: a power-of-two congruence, exact in floating point, so D a D is
@@ -240,7 +245,6 @@ def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> Eige
     # ARPACK's default start vector is random; a fixed one keeps output bytes
     # identical from run to run.
     v0 = np.random.default_rng(0).standard_normal(n)
-    M = sp.csr_matrix((m, *pattern), shape=(n, n))
     L = sp.csr_matrix((l, *pattern), shape=(n, n))
     scaled_mass = sp.csr_matrix((m * dd, *pattern), shape=(n, n))
     try:

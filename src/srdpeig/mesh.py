@@ -6,7 +6,17 @@ top-right unit square with 3 N^2 cells.  Edges are oriented canonically
 (left to right, bottom to top) so that two elements sharing an edge always
 agree on its parameter direction, and element maps are translations plus a
 single uniform scaling.  Boundary entities are detected topologically: an
-edge is boundary when it has exactly one incident element.
+edge is boundary when it has exactly one incident element, and a vertex
+when it ends a boundary edge.
+
+A mesh is a set of integer arrays computed by grid arithmetic, with no
+object per entity.  Cells and vertices are numbered by their grid point
+(iy, ix) in row-major order, and edges by the (iy, ix) of their left or
+bottom end, the horizontal edge before the vertical one.  Each element
+lists its vertex ids in `CORNERS` order (bottom-left, bottom-right,
+top-left, top-right) and its edge ids in `basis2d.SIDES` order (left,
+right, bottom, top).  The DOF map is one (elements x local) array built
+from the same arrays by a rule per local slot.
 """
 
 from __future__ import annotations
@@ -18,8 +28,8 @@ import numpy as np
 
 from .basis2d import (
     EDGE,
-    INTERIOR,
     SERENDIPITY,
+    SIDES,
     TENSOR,
     VERTEX,
     BasisArray,
@@ -34,37 +44,42 @@ SQUARE = "square"
 LSHAPE = "lshape"
 DOMAINS = (SQUARE, LSHAPE)
 
-
-@dataclass(frozen=True)
-class Edge:
-    """Oriented mesh edge between vertex ids (v0 -> v1)."""
-
-    v0: int
-    v1: int
-    orientation: str  # 'h' (left->right) or 'v' (bottom->top)
-
-
-@dataclass(frozen=True)
-class Element:
-    """Axis-aligned square cell with corner vertex ids and side edge ids."""
-
-    index: int
-    cell: tuple[int, int]  # grid position of the bottom-left corner
-    vertices: dict[tuple[int, int], int]  # (sx, sy) in {-1,+1}^2 -> vertex id
-    edges: dict[str, int]  # side name -> edge id
-    origin: tuple[Fraction, Fraction]  # bottom-left corner coordinates
+#: Corner (sx, sy) of each column of `Mesh.element_vertices`.
+CORNERS = ((-1, -1), (1, -1), (-1, 1), (1, 1))
+# grid offset (dx, dy) of each corner from an element's bottom-left corner
+_CORNER_DX, _CORNER_DY = (np.array(CORNERS).T + 1) // 2
+# (dx, dy, vertical) of the edge on each side: it starts at grid offset
+# (dx, dy) from the bottom-left corner
+_SIDE_EDGE = {"left": (0, 0, 1), "right": (1, 0, 1), "bottom": (0, 0, 0), "top": (0, 1, 0)}
+_SIDE_DX, _SIDE_DY, _SIDE_VERTICAL = np.array([_SIDE_EDGE[side] for side in SIDES]).T
 
 
 @dataclass(frozen=True)
 class Mesh:
+    """Integer arrays of a uniform mesh of side h (module docstring).
+
+    `vertices` (V x 2) holds the grid point (ix, iy) of each vertex, which
+    sits at (ix h, iy h).  `cells` (E x 2) holds the grid point (cx, cy) of
+    each element's bottom-left corner; `element_vertices` (E x 4) its vertex
+    ids in `CORNERS` order (bottom-left, bottom-right, top-left, top-right),
+    and `element_edges` (E x 4) its edge ids in `SIDES` order (left, right,
+    bottom, top).  `edges` (edges x 2) holds the vertex ids (v0, v1) of each
+    edge, v0 to the left of or below v1, numbered by the (iy, ix) of v0 with
+    the horizontal edge first; `vertical` says which edges run bottom to
+    top.  `boundary_vertices` and `boundary_edges` are boolean masks.
+    """
+
     domain: str
     N: int
     h: Fraction
-    vertices: list[tuple[Fraction, Fraction]]
-    edges: list[Edge]
-    elements: list[Element]
-    boundary_vertices: list[bool]
-    boundary_edges: list[bool]
+    vertices: np.ndarray
+    cells: np.ndarray
+    element_vertices: np.ndarray
+    element_edges: np.ndarray
+    edges: np.ndarray
+    vertical: np.ndarray
+    boundary_vertices: np.ndarray
+    boundary_edges: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -76,90 +91,55 @@ class Mesh:
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
-
-
-def _cells(domain: str, N: int) -> list[tuple[int, int]]:
-    if domain == SQUARE:
-        return [(cx, cy) for cy in range(N) for cx in range(N)]
-    if domain == LSHAPE:
-        return [
-            (cx, cy)
-            for cy in range(2 * N)
-            for cx in range(2 * N)
-            if not (cx >= N and cy >= N)
-        ]
-    raise ValueError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
+        return len(self.cells)
 
 
 def build_mesh(domain: str, N: int) -> Mesh:
     """Uniform mesh with spacing h = 1/N over the requested domain."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    h = Fraction(1, N)
-    cells = _cells(domain, N)
+    if domain == SQUARE:
+        present = np.ones((N, N), dtype=np.int8)
+    elif domain == LSHAPE:
+        present = np.ones((2 * N, 2 * N), dtype=np.int8)
+        present[N:, N:] = 0
+    else:
+        raise ValueError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
+    # present[cy, cx] marks the cell with bottom-left corner (cx, cy).  Padded
+    # by one, it gives the four cells around every grid point (ix, iy), each
+    # indexed [iy, ix]: ne is cell (ix, iy), nw (ix - 1, iy), se (ix, iy - 1)
+    # and sw (ix - 1, iy - 1)
+    pad = np.pad(present, 1)
+    ne, nw, se, sw = pad[1:, 1:], pad[1:, :-1], pad[:-1, 1:], pad[:-1, :-1]
+    occupied = (ne | nw | se | sw).astype(bool)
+    vertex_id = np.cumsum(occupied).reshape(occupied.shape) - 1
+    # incident[iy, ix] counts the elements on the horizontal and on the
+    # vertical edge that start at (ix, iy); its row-major order is the edge
+    # numbering
+    incident = np.stack([ne + se, ne + nw], axis=-1)
+    edge_id = np.cumsum(incident > 0).reshape(incident.shape) - 1
 
-    vertex_ids: dict[tuple[int, int], int] = {}
-    corner_offsets = ((0, 0), (1, 0), (0, 1), (1, 1))
-    for key in sorted(
-        {(cx + dx, cy + dy) for cx, cy in cells for dx, dy in corner_offsets},
-        key=lambda t: (t[1], t[0]),
-    ):
-        vertex_ids[key] = len(vertex_ids)
+    iy, ix, vertical = np.nonzero(incident)
+    edges = np.stack([vertex_id[iy, ix], vertex_id[iy + vertical, ix + 1 - vertical]], axis=1)
+    boundary_edges = incident[iy, ix, vertical] == 1
+    boundary_vertices = np.zeros(occupied.sum(), dtype=bool)
+    boundary_vertices[edges[boundary_edges]] = True
 
-    # Edge keys: (orientation, ix, iy) of the left/bottom endpoint.
-    incident: dict[tuple[str, int, int], int] = {}
-    for cx, cy in cells:
-        for key in (
-            ("h", cx, cy),
-            ("h", cx, cy + 1),
-            ("v", cx, cy),
-            ("v", cx + 1, cy),
-        ):
-            incident[key] = incident.get(key, 0) + 1
-    edge_ids: dict[tuple[str, int, int], int] = {}
-    edges: list[Edge] = []
-    boundary_edges: list[bool] = []
-    for key in sorted(incident, key=lambda t: (t[2], t[1], t[0])):
-        orient, ix, iy = key
-        other = (ix + 1, iy) if orient == "h" else (ix, iy + 1)
-        edge_ids[key] = len(edges)
-        edges.append(Edge(vertex_ids[(ix, iy)], vertex_ids[other], orient))
-        boundary_edges.append(incident[key] == 1)
-
-    elements = []
-    for idx, (cx, cy) in enumerate(cells):
-        elements.append(
-            Element(
-                index=idx,
-                cell=(cx, cy),
-                vertices={
-                    (-1, -1): vertex_ids[(cx, cy)],
-                    (1, -1): vertex_ids[(cx + 1, cy)],
-                    (-1, 1): vertex_ids[(cx, cy + 1)],
-                    (1, 1): vertex_ids[(cx + 1, cy + 1)],
-                },
-                edges={
-                    "bottom": edge_ids[("h", cx, cy)],
-                    "top": edge_ids[("h", cx, cy + 1)],
-                    "left": edge_ids[("v", cx, cy)],
-                    "right": edge_ids[("v", cx + 1, cy)],
-                },
-                origin=(cx * h, cy * h),
-            )
-        )
-
-    boundary_vertices = [False] * len(vertex_ids)
-    for edge, is_bdry in zip(edges, boundary_edges):
-        if is_bdry:
-            boundary_vertices[edge.v0] = True
-            boundary_vertices[edge.v1] = True
-
-    coords = [
-        (Fraction(ix) * h, Fraction(iy) * h)
-        for (ix, iy) in sorted(vertex_ids, key=vertex_ids.get)
-    ]
-    return Mesh(domain, N, h, coords, edges, elements, boundary_vertices, boundary_edges)
+    cells = np.argwhere(present)[:, ::-1]
+    cx, cy = cells[:, :1], cells[:, 1:]
+    return Mesh(
+        domain,
+        N,
+        Fraction(1, N),
+        np.argwhere(occupied)[:, ::-1],
+        cells,
+        vertex_id[cy + _CORNER_DY, cx + _CORNER_DX],
+        edge_id[cy + _SIDE_DY, cx + _SIDE_DX, _SIDE_VERTICAL],
+        edges,
+        vertical.astype(bool),
+        boundary_vertices,
+        boundary_edges,
+    )
 
 
 def reference_basis(family: str, p: int) -> BasisArray:
@@ -177,15 +157,16 @@ class DofMap:
 
     Numbering order: one DOF per vertex, then p-1 DOFs per edge (grouped by
     edge, ordered by functional order k = 0..p-2), then interior DOFs
-    grouped by element in slot grid order.  `element_dofs[e][a]` is the
-    global index of local slot `local_slots[a]` on element e.
+    grouped by element in slot grid order.  `element_dofs` is one
+    (elements x local) int32 array: entry [e, a] is the global index of
+    local slot `local_slots[a]` on element e.
     """
 
     family: str
     p: int
     total: int
     local_slots: list[tuple[int, int]]
-    element_dofs: list[list[int]]
+    element_dofs: np.ndarray
     _boundary: np.ndarray = field(repr=False)
 
     def free_dofs(self) -> np.ndarray:
@@ -202,70 +183,70 @@ def dof_totals(mesh: Mesh, family: str, p: int) -> int:
 
 
 def build_dof_map(mesh: Mesh, family: str, p: int) -> DofMap:
-    """Number the global DOFs of the family/order on the given mesh."""
+    """Number the global DOFs of the family/order on the given mesh.
+
+    Each local slot gets one rule from `classify_slot`: a column of the
+    (elements x 9) table of first DOFs -- the vertex at each corner, DOF 0
+    of the edge on each side, the element's first interior DOF -- and the
+    offset k of the edge DOF or the interior ordinal.  One gather of that
+    table fills `element_dofs`.
+    """
     if p < 1:
         raise ValueError("order must be >= 1")
     local_slots = sorted(slot_factors(family, p))
-    classified = [(slot, classify_slot(slot, p)) for slot in local_slots]
+    column, offset = [], []
+    n_int = 0
+    for slot in local_slots:
+        kind = classify_slot(slot, p)
+        if kind.kind == VERTEX:
+            column.append(CORNERS.index(kind.corner))
+            offset.append(0)
+        elif kind.kind == EDGE:
+            column.append(4 + SIDES.index(kind.side))
+            offset.append(kind.k)
+        else:
+            column.append(8)
+            offset.append(n_int)
+            n_int += 1
 
-    n_vert = mesh.n_vertices
-    edge_base = n_vert
-    n_edge_dofs = (p - 1) * mesh.n_edges
-    interior_base = edge_base + n_edge_dofs
-    interior_slots = [slot for slot, kind in classified if kind.kind == INTERIOR]
-    n_int = len(interior_slots)
-    interior_ordinal = {slot: a for a, slot in enumerate(interior_slots)}
+    n_vert, n_el = mesh.n_vertices, mesh.n_elements
+    interior_base = n_vert + (p - 1) * mesh.n_edges
+    first = np.concatenate(
+        [
+            mesh.element_vertices,
+            n_vert + (p - 1) * mesh.element_edges,
+            interior_base + n_int * np.arange(n_el)[:, None],
+        ],
+        axis=1,
+    )
+    dofs = (first[:, column] + offset).astype(np.int32)
 
-    element_dofs: list[list[int]] = []
-    for element in mesh.elements:
-        dofs = []
-        for slot, kind in classified:
-            if kind.kind == VERTEX:
-                dofs.append(element.vertices[kind.corner])
-            elif kind.kind == EDGE:
-                edge_id = element.edges[kind.side]
-                dofs.append(edge_base + edge_id * (p - 1) + kind.k)
-            else:
-                dofs.append(
-                    interior_base + element.index * n_int + interior_ordinal[slot]
-                )
-        element_dofs.append(dofs)
-
-    total = interior_base + n_int * mesh.n_elements
+    total = interior_base + n_int * n_el
     assert total == dof_totals(mesh, family, p)
 
-    boundary = [v for v in range(n_vert) if mesh.boundary_vertices[v]]
-    for e in range(mesh.n_edges):
-        if mesh.boundary_edges[e]:
-            boundary.extend(edge_base + e * (p - 1) + k for k in range(p - 1))
-    return DofMap(
-        family,
-        p,
-        total,
-        local_slots,
-        element_dofs,
-        np.array(sorted(boundary), dtype=np.int64),
-    )
+    edge_dofs = n_vert + (p - 1) * np.flatnonzero(mesh.boundary_edges)[:, None] + np.arange(p - 1)
+    boundary = np.concatenate([np.flatnonzero(mesh.boundary_vertices), edge_dofs.ravel()])
+    return DofMap(family, p, total, local_slots, dofs, boundary)
 
 
 def dump_mesh_text(mesh: Mesh) -> str:
     """Plain-text entity listing with coordinates and boundary flags."""
+    N, h = mesh.N, mesh.h
     lines = [
-        f"domain {mesh.domain}  N {mesh.N}  h {mesh.h}",
+        f"domain {mesh.domain}  N {N}  h {h}",
         f"vertices {mesh.n_vertices}  edges {mesh.n_edges}  elements {mesh.n_elements}",
         "# vertices: id x y boundary",
     ]
-    for v, (x, y) in enumerate(mesh.vertices):
-        lines.append(f"vertex {v} {x} {y} {int(mesh.boundary_vertices[v])}")
+    for v, ((ix, iy), b) in enumerate(
+        zip(mesh.vertices.tolist(), mesh.boundary_vertices.tolist())
+    ):
+        lines.append(f"vertex {v} {Fraction(ix, N)} {Fraction(iy, N)} {int(b)}")
     lines.append("# edges: id v0 v1 orientation boundary")
-    for e, edge in enumerate(mesh.edges):
-        lines.append(
-            f"edge {e} {edge.v0} {edge.v1} {edge.orientation} {int(mesh.boundary_edges[e])}"
-        )
+    for e, ((v0, v1), vertical, b) in enumerate(
+        zip(mesh.edges.tolist(), mesh.vertical.tolist(), mesh.boundary_edges.tolist())
+    ):
+        lines.append(f"edge {e} {v0} {v1} {'v' if vertical else 'h'} {int(b)}")
     lines.append("# elements: id cx cy x0 y0 h")
-    for element in mesh.elements:
-        x0, y0 = element.origin
-        lines.append(
-            f"element {element.index} {element.cell[0]} {element.cell[1]} {x0} {y0} {mesh.h}"
-        )
+    for e, (cx, cy) in enumerate(mesh.cells.tolist()):
+        lines.append(f"element {e} {cx} {cy} {Fraction(cx, N)} {Fraction(cy, N)} {h}")
     return "\n".join(lines) + "\n"

@@ -348,8 +348,7 @@ def test_interelement_trace_continuity(family, p):
     basis = reference_basis(family, p)
 
     def trace(elem_idx: int, g: int, x: Fraction, y: Fraction) -> Fraction:
-        element = mesh.elements[elem_idx]
-        x0, y0 = element.origin
+        x0, y0 = (c * mesh.h for c in mesh.cells[elem_idx].tolist())
         xi = 2 * (x - x0) / mesh.h - 1
         eta = 2 * (y - y0) / mesh.h - 1
         total = Fraction(0)
@@ -359,15 +358,15 @@ def test_interelement_trace_continuity(family, p):
         return total
 
     incident: dict[int, list[int]] = {}
-    for element in mesh.elements:
-        for edge_id in element.edges.values():
-            incident.setdefault(edge_id, []).append(element.index)
+    for elem_idx, edge_ids in enumerate(mesh.element_edges.tolist()):
+        for edge_id in edge_ids:
+            incident.setdefault(edge_id, []).append(elem_idx)
     shared = {e: els for e, els in incident.items() if len(els) == 2}
     assert shared  # N=2 has interior edges
     for edge_id, (ea, eb) in shared.items():
-        edge = mesh.edges[edge_id]
-        xa, ya = mesh.vertices[edge.v0]
-        xb, yb = mesh.vertices[edge.v1]
+        v0, v1 = mesh.edges[edge_id].tolist()
+        xa, ya = (c * mesh.h for c in mesh.vertices[v0].tolist())
+        xb, yb = (c * mesh.h for c in mesh.vertices[v1].tolist())
         dofs = set(dm.element_dofs[ea]) | set(dm.element_dofs[eb])
         for k in range(7):
             t = Fraction(k, 6)

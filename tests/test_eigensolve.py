@@ -172,14 +172,38 @@ class TestTargetedSolve:
         expected = select_near(solve_generalized(system), FIVE_PI_SQ)[0]
         assert abs(select_near(window, FIVE_PI_SQ)[0] - expected) <= 1e-10 * expected
 
+    @staticmethod
+    def indefinite_mass_system() -> GlobalSystem:
+        mass = np.ones(50)
+        mass[10] = -1.0
+        return synthetic_system(np.diag(np.arange(1.0, 51.0)), np.diag(mass))
+
     def test_indefinite_mass_raises(self):
         # ARPACK's shift-invert mode assumes M > 0; here it returned 2.40,
         # 2.44 and 2.57 without complaint
-        mass = np.ones(50)
-        mass[10] = -1.0
-        system = synthetic_system(np.diag(np.arange(1.0, 51.0)), np.diag(mass))
         with pytest.raises(MassNotPD):
-            solve_generalized(system, target=2.5)
+            solve_generalized(self.indefinite_mass_system(), target=2.5)
+
+    @pytest.mark.parametrize("ncv, tol", [(10, 1e-10), (11, 0)])
+    def test_indefinite_mass_raises_whatever_the_subspace(self, monkeypatch, ncv, tol):
+        # with these Lanczos settings ARPACK's vectors miss the negative
+        # direction (windows 2, 3, 63.97 and 1.695, 2, 3): only the check of
+        # M's diagonal before the factorization catches it
+        real = eigensolve.eigsh
+        monkeypatch.setattr(
+            eigensolve, "eigsh", lambda *args, **kw: real(*args, **kw, ncv=ncv, tol=tol)
+        )
+        with pytest.raises(MassNotPD, match="diagonal"):
+            solve_generalized(self.indefinite_mass_system(), target=2.5)
+
+    def test_indefinite_mass_with_positive_diagonal_raises(self):
+        # M's diagonal passes; the 2 x 2 block [[1, 2], [2, 1]] is indefinite,
+        # and the returned vectors catch it through v^T M v <= 0
+        mass = np.eye(50)
+        mass[10, 11] = mass[11, 10] = 2.0
+        system = synthetic_system(np.diag(np.arange(1.0, 51.0)), mass)
+        with pytest.raises(MassNotPD, match="not positive definite"):
+            solve_generalized(system, target=3.5)
 
     def test_inaccurate_pairs_raise(self, monkeypatch):
         real = eigensolve.eigsh
