@@ -139,40 +139,3 @@ def serendipity_interior_count(p: int) -> int:
         return 0
     return (p - 3) * (p - 2) // 2
 
-
-# -- DOF classification ------------------------------------------------------
-
-VERTEX = "vertex"
-EDGE = "edge"
-INTERIOR = "interior"
-
-SIDES = ("left", "right", "bottom", "top")
-
-
-@dataclass(frozen=True)
-class DofKind:
-    """Geometric role of a basis slot on the reference square.
-
-    vertex:   corner = (sx, sy) with each component -1 or +1.
-    edge:     side in SIDES; k = functional order along the edge
-              (0 = midpoint value, k >= 1 = k-th tangential derivative).
-    interior: neither; identified by its slot.
-    """
-
-    kind: str
-    corner: tuple[int, int] | None = None
-    side: str | None = None
-    k: int | None = None
-
-
-def classify_slot(slot: tuple[int, int], p: int) -> DofKind:
-    """Classification of a 1-based slot of an order-p array."""
-    i, j = slot
-    ends = (1, p + 1)
-    if i in ends and j in ends:
-        return DofKind(VERTEX, corner=(-1 if i == 1 else 1, -1 if j == 1 else 1))
-    if i in ends:
-        return DofKind(EDGE, side="left" if i == 1 else "right", k=j - 2)
-    if j in ends:
-        return DofKind(EDGE, side="bottom" if j == 1 else "top", k=i - 2)
-    return DofKind(INTERIOR)

@@ -14,26 +14,24 @@ object per entity.  Cells and vertices are numbered by their grid point
 (iy, ix) in row-major order, and edges by the (iy, ix) of their left or
 bottom end, the horizontal edge before the vertical one.  Each element
 lists its vertex ids in `CORNERS` order (bottom-left, bottom-right,
-top-left, top-right) and its edge ids in `basis2d.SIDES` order (left,
-right, bottom, top).  The DOF map is one (elements x local) array built
-from the same arrays by a rule per local slot.
+top-left, top-right) and its edge ids in `SIDES` order (left, right,
+bottom, top).  The DOF map is one (elements x local) array gathered from
+the same arrays by `slot_rule`, which gives each local slot a column of
+that table and an offset, once per family and order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .basis2d import (
-    EDGE,
     SERENDIPITY,
-    SIDES,
     TENSOR,
-    VERTEX,
     BasisArray,
-    classify_slot,
     serendipity_basis,
     serendipity_interior_count,
     slot_factors,
@@ -46,12 +44,13 @@ DOMAINS = (SQUARE, LSHAPE)
 
 #: Corner (sx, sy) of each column of `Mesh.element_vertices`.
 CORNERS = ((-1, -1), (1, -1), (-1, 1), (1, 1))
+#: Side of each column of `Mesh.element_edges`.
+SIDES = ("left", "right", "bottom", "top")
 # grid offset (dx, dy) of each corner from an element's bottom-left corner
 _CORNER_DX, _CORNER_DY = (np.array(CORNERS).T + 1) // 2
-# (dx, dy, vertical) of the edge on each side: it starts at grid offset
-# (dx, dy) from the bottom-left corner
-_SIDE_EDGE = {"left": (0, 0, 1), "right": (1, 0, 1), "bottom": (0, 0, 0), "top": (0, 1, 0)}
-_SIDE_DX, _SIDE_DY, _SIDE_VERTICAL = np.array([_SIDE_EDGE[side] for side in SIDES]).T
+# (dx, dy, vertical) of the edge on each side, in SIDES order: it starts at
+# grid offset (dx, dy) from the bottom-left corner
+_SIDE_DX, _SIDE_DY, _SIDE_VERTICAL = np.array([(0, 0, 1), (1, 0, 1), (0, 0, 0), (0, 1, 0)]).T
 
 
 @dataclass(frozen=True)
@@ -182,33 +181,49 @@ def dof_totals(mesh: Mesh, family: str, p: int) -> int:
     return mesh.n_vertices + (p - 1) * mesh.n_edges + per_interior * mesh.n_elements
 
 
+@lru_cache(maxsize=None)
+def slot_rule(
+    family: str, p: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...], int]:
+    """Where each local slot of the order-p family finds its global DOF.
+
+    Returns (slots, column, offset, n_interior).  `slots` are the slots of
+    `basis2d.slot_factors` in grid order; slot a reads column `column[a]`
+    of an element's table of first DOFs plus `offset[a]`.  Columns 0-3 are
+    the vertices in `CORNERS` order, 4-7 DOF 0 of the edges in `SIDES`
+    order, and 8 the element's first interior DOF.  With the ends 1 and
+    p + 1, slot (i, j) is a vertex when i and j are both ends, a left/right
+    edge DOF of order j - 2 when only i is, a bottom/top edge DOF of order
+    i - 2 when only j is, and otherwise the next of the n_interior
+    interior DOFs in slot order.
+    """
+    slots = tuple(sorted(slot_factors(family, p)))
+    ends = (1, p + 1)
+    rule = []
+    n_interior = 0
+    for i, j in slots:
+        if i in ends and j in ends:
+            rule.append(((i == p + 1) + 2 * (j == p + 1), 0))
+        elif i in ends:
+            rule.append((4 + (i == p + 1), j - 2))
+        elif j in ends:
+            rule.append((6 + (j == p + 1), i - 2))
+        else:
+            rule.append((8, n_interior))
+            n_interior += 1
+    column, offset = zip(*rule)
+    return slots, column, offset, n_interior
+
+
 def build_dof_map(mesh: Mesh, family: str, p: int) -> DofMap:
     """Number the global DOFs of the family/order on the given mesh.
 
-    Each local slot gets one rule from `classify_slot`: a column of the
-    (elements x 9) table of first DOFs -- the vertex at each corner, DOF 0
-    of the edge on each side, the element's first interior DOF -- and the
-    offset k of the edge DOF or the interior ordinal.  One gather of that
-    table fills `element_dofs`.
+    `element_dofs` is one gather of the (elements x 9) table of first DOFs
+    (the vertex at each corner, DOF 0 of the edge on each side, the
+    element's first interior DOF) at the columns and offsets of the cached
+    `slot_rule`.
     """
-    if p < 1:
-        raise ValueError("order must be >= 1")
-    local_slots = sorted(slot_factors(family, p))
-    column, offset = [], []
-    n_int = 0
-    for slot in local_slots:
-        kind = classify_slot(slot, p)
-        if kind.kind == VERTEX:
-            column.append(CORNERS.index(kind.corner))
-            offset.append(0)
-        elif kind.kind == EDGE:
-            column.append(4 + SIDES.index(kind.side))
-            offset.append(kind.k)
-        else:
-            column.append(8)
-            offset.append(n_int)
-            n_int += 1
-
+    local_slots, column, offset, n_int = slot_rule(family, p)
     n_vert, n_el = mesh.n_vertices, mesh.n_elements
     interior_base = n_vert + (p - 1) * mesh.n_edges
     first = np.concatenate(
@@ -226,7 +241,7 @@ def build_dof_map(mesh: Mesh, family: str, p: int) -> DofMap:
 
     edge_dofs = n_vert + (p - 1) * np.flatnonzero(mesh.boundary_edges)[:, None] + np.arange(p - 1)
     boundary = np.concatenate([np.flatnonzero(mesh.boundary_vertices), edge_dofs.ravel()])
-    return DofMap(family, p, total, local_slots, dofs, boundary)
+    return DofMap(family, p, total, list(local_slots), dofs, boundary)
 
 
 def dump_mesh_text(mesh: Mesh) -> str:

@@ -2,6 +2,7 @@
 classification, span, and nodal structure."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -16,32 +17,52 @@ from oracles import (
     spans,
 )
 from reference_bases import REFERENCE_SERENDIPITY
+from srdpeig.assembly import reference_matrices
 from srdpeig.basis1d import generate_phi
 from srdpeig.basis2d import (
-    EDGE,
     FAMILIES,
-    INTERIOR,
-    VERTEX,
-    classify_slot,
     combination,
     serendipity_basis,
     serendipity_interior_count,
     slot_factors,
     tensor_basis,
 )
-from srdpeig.mesh import reference_basis
+from srdpeig.mesh import CORNERS, SIDES, reference_basis, slot_rule
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
 
-#: Corner and edge-midpoint sample points of the reference square.
-CORNERS = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
+#: Edge-midpoint sample points of the reference square.
 MIDPOINTS = {"left": (-1, 0), "right": (1, 0), "bottom": (0, -1), "top": (0, 1)}
 
 
+class Role(NamedTuple):
+    """Geometric role of a slot: the corner of a vertex DOF, or the side and
+    functional order k of an edge DOF (0 = midpoint value, k >= 1 = k-th
+    tangential derivative)."""
+
+    kind: str
+    corner: tuple[int, int] | None = None
+    side: str | None = None
+    k: int | None = None
+
+
 def classify_dofs(basis):
-    """(slot, kind) of every nonzero slot of a basis array, in grid order."""
-    return [(slot, classify_slot(slot, basis.p)) for slot in basis.nonzero_slots()]
+    """(slot, role) of every nonzero slot of a basis array, in grid order,
+    read from `mesh.slot_rule`, the rule the DOF numbering runs: columns
+    0-3 are the corners in `CORNERS` order, 4-7 the sides in `SIDES` order
+    (the offset is k), and 8 is interior."""
+    slots, column, offset, _ = slot_rule(basis.family, basis.p)
+    assert list(slots) == basis.nonzero_slots()
+    roles = []
+    for c, k in zip(column, offset):
+        if c < 4:
+            roles.append(Role("vertex", corner=CORNERS[c]))
+        elif c < 8:
+            roles.append(Role("edge", side=SIDES[c - 4], k=k))
+        else:
+            roles.append(Role("interior"))
+    return list(zip(slots, roles))
 
 
 def serendipity_dimension(p):
@@ -162,26 +183,42 @@ def test_factor_slots_are_nonzero_slots(family, p):
 class TestClassification:
     def test_tensor_p2_counts(self):
         kinds = [kind.kind for _, kind in classify_dofs(tensor_basis(2))]
-        assert kinds.count(VERTEX) == 4
-        assert kinds.count(EDGE) == 4
-        assert kinds.count(INTERIOR) == 1
+        assert kinds.count("vertex") == 4
+        assert kinds.count("edge") == 4
+        assert kinds.count("interior") == 1
 
     def test_serendipity_p4_counts(self):
         classified = classify_dofs(serendipity_basis(4))
         kinds = [kind.kind for _, kind in classified]
-        assert kinds.count(VERTEX) == 4
-        assert kinds.count(EDGE) == 12  # four edges, three functionals each
-        assert kinds.count(INTERIOR) == 1 == serendipity_interior_count(4)
+        assert kinds.count("vertex") == 4
+        assert kinds.count("edge") == 12  # four edges, three functionals each
+        assert kinds.count("interior") == 1 == serendipity_interior_count(4)
         per_side = {}
         for _, kind in classified:
-            if kind.kind == EDGE:
+            if kind.kind == "edge":
                 per_side.setdefault(kind.side, []).append(kind.k)
         assert all(sorted(ks) == [0, 1, 2] for ks in per_side.values())
 
     def test_serendipity_p2_has_no_interior(self):
         kinds = [kind.kind for _, kind in classify_dofs(serendipity_basis(2))]
-        assert INTERIOR not in kinds
+        assert "interior" not in kinds
         assert serendipity_interior_count(2) == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("p", range(1, 9))
+def test_slot_rule_counts(family, p):
+    """The numbering's slots are the reference matrices' slots; the rule
+    finds 4 vertices, edge orders 0..p-2 on each side, and the interior
+    count of the family."""
+    slots, column, offset, n_interior = slot_rule(family, p)
+    assert slots == reference_matrices(family, p).slots
+    assert sorted(c for c in column if c < 4) == [0, 1, 2, 3]
+    for c in range(4, 8):
+        assert sorted(k for col, k in zip(column, offset) if col == c) == list(range(p - 1))
+    interior = (p - 1) ** 2 if family == "tensor" else serendipity_interior_count(p)
+    assert n_interior == interior
+    assert [k for col, k in zip(column, offset) if col == 8] == list(range(interior))
 
 
 @pytest.mark.parametrize("family", ["tensor", "serendipity"])
@@ -198,13 +235,13 @@ def test_value_node_kronecker(family, p):
     basis = tensor_basis(p) if family == "tensor" else serendipity_basis(p)
     for slot, kind in classify_dofs(basis):
         poly = Poly.of(basis.entry(*slot))
-        if kind.kind == VERTEX:
+        if kind.kind == "vertex":
             for corner in CORNERS:
                 assert poly(*corner) == (1 if corner == kind.corner else 0)
             for point in MIDPOINTS.values():
                 next_to_corner = point[0] == kind.corner[0] or point[1] == kind.corner[1]
                 assert poly(*point) == (H if p == 1 and next_to_corner else 0)
-        elif kind.kind == EDGE and kind.k == 0:
+        elif kind.kind == "edge" and kind.k == 0:
             for corner in CORNERS:
                 assert poly(*corner) == 0
             for side, point in MIDPOINTS.items():
@@ -221,7 +258,7 @@ def test_derivative_duality(family, p):
     polys = {slot: Poly.of(basis.entry(*slot)) for slot in basis.nonzero_slots()}
     worst = Fraction(0)
     for slot, kind in classify_dofs(basis):
-        if kind.kind != EDGE or kind.k == 0:
+        if kind.kind != "edge" or kind.k == 0:
             continue
         for other_slot, poly in polys.items():
             if kind.side in ("left", "right"):

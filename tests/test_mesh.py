@@ -5,8 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from srdpeig.basis2d import SIDES
-from srdpeig.mesh import CORNERS, build_dof_map, build_mesh, dof_totals, dump_mesh_text
+from srdpeig.mesh import CORNERS, SIDES, build_dof_map, build_mesh, dof_totals, dump_mesh_text
 
 
 # SHA-256 of `dump_mesh_text` per (domain, N)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import srdpeig.studies as studies
-from srdpeig.mesh import build_mesh, dof_totals
-from srdpeig.eigensolve import InsufficientSpectrum
+from srdpeig.assembly import assemble, reference_matrices
+from srdpeig.eigensolve import InsufficientSpectrum, select_near, solve_generalized
+from srdpeig.mesh import build_dof_map, build_mesh, dof_totals
 from srdpeig.studies import (
     CSV_HEADER,
     StudyRow,
@@ -30,7 +31,8 @@ TWO_PI_SQ = 2 * math.pi**2
 class TestTargets:
     def test_presets(self):
         assert resolve_target("two_pi_sq") == TWO_PI_SQ
-        assert resolve_target("lshape_neumann_1") == 1.4756218450
+        assert resolve_target("lshape_neumann_1") == 1.4756218239
+        assert resolve_target("lshape_neumann_2") == 3.53403136679
         assert resolve_target("lshape_neumann_3") == math.pi**2
         assert resolve_target("lshape_neumann_4") == 11.389479398
 
@@ -41,6 +43,33 @@ class TestTargets:
     def test_unknown(self):
         with pytest.raises(ValueError):
             resolve_target("first_eigenvalue")
+
+    def test_lshape_presets_match_extrapolation(self):
+        """Re-derive the L-shape Neumann presets from tensor p = 8 solves at
+        N = 2, 4, 8 by fitting lambda + c1 h^a + c2 h^b, with the corner's
+        exponents (a, b) = (4/3, 8/3) for the first eigenvalue and (8/3, 16/3)
+        for the second and fifth.  The fits give 1.475621822896,
+        3.534031366786 and 11.389479397981."""
+        fits = {
+            "lshape_neumann_1": ((4 / 3, 8 / 3), 2e-9),
+            "lshape_neumann_2": ((8 / 3, 16 / 3), 2e-10),
+            "lshape_neumann_4": ((8 / 3, 16 / 3), 1e-10),
+        }
+        Ns = (2, 4, 8)
+        computed = {name: [] for name in fits}
+        for N in Ns:
+            mesh = build_mesh("lshape", N)
+            dofmap = build_dof_map(mesh, "tensor", 8)
+            system = assemble(mesh, dofmap, reference_matrices("tensor", 8), "neumann")
+            for name in fits:
+                target = TARGET_PRESETS[name]
+                result = solve_generalized(system, target=target)
+                computed[name].append(select_near(result, target)[0])
+        h = 1 / np.array(Ns, dtype=float)
+        for name, ((a, b), tol) in fits.items():
+            design = np.column_stack([np.ones(3), h**a, h**b])
+            extrapolated = np.linalg.solve(design, computed[name])[0]
+            assert abs(extrapolated - TARGET_PRESETS[name]) <= tol, (name, extrapolated)
 
 
 class TestExactSpectrum:
@@ -261,22 +290,18 @@ class TestPlot:
 
 class TestSpectrumReport:
     def test_neumann_low_indices(self):
-        rows = spectrum_report("square", "neumann", 2, 2, 5)
+        rows = spectrum_report("neumann", 2, 2, 5)
         assert rows[0].exact == 0.0
         assert abs(rows[0].computed["tensor"]) < 1e-9
         assert abs(rows[0].computed["serendipity"]) < 1e-9
         assert rows[1].exact == rows[2].exact == pytest.approx(math.pi**2)
 
     def test_families_nearly_equal_at_low_indices(self):
-        rows = spectrum_report("square", "neumann", 3, 5, 12)
+        rows = spectrum_report("neumann", 3, 5, 12)
         for row in rows[1:]:
             gap = abs(row.computed["tensor"] - row.computed["serendipity"])
             assert gap <= 1e-3 * row.exact
 
     def test_insufficient(self):
         with pytest.raises(InsufficientSpectrum):
-            spectrum_report("square", "neumann", 1, 1, 10)
-
-    def test_lshape_rejected(self):
-        with pytest.raises(ValueError):
-            spectrum_report("lshape", "neumann", 2, 2, 4)
+            spectrum_report("neumann", 1, 1, 10)
