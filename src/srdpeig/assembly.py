@@ -76,8 +76,8 @@ class EmptySystem(RuntimeError):
 class LocalMatrices:
     """Exact rational mass/stiffness on the reference square.
 
-    Rows/columns follow the slots of `basis2d.slot_factors` in grid order,
-    which are the nonzero slots of the basis array.
+    Rows/columns follow the slots of `basis2d.slot_factors`, in the grid
+    order it fixes; they are the nonzero slots of the basis array.
 
     For the tensor family, `line` holds the integer 1D tables (G, S, D) of
     `_line_grams` for the order-p functions phi_1 .. phi_(p+1): int phi_a
@@ -118,7 +118,7 @@ class LocalMatrices:
 
 
 def _line_grams(
-    orders: list[int],
+    orders: set[int],
 ) -> tuple[dict[tuple[int, int], int], list[list[int]], list[list[int]], int]:
     """Integer 1D cross-Gram tables of every `generate_phi` function of the
     given orders, over one common denominator.
@@ -170,12 +170,10 @@ def reference_matrices(family: str, p: int) -> LocalMatrices:
     same canonical value a rational sum would give.
     """
     factors = slot_factors(family, p)
-    slots = tuple(sorted(factors))
-    orders = sorted(
-        {q for terms in factors.values() for _, (qx, _), (qy, _) in terms for q in (qx, qy)}
-    )
+    slots = tuple(factors)
+    orders = {q for terms in factors.values() for _, (qx, _), (qy, _) in terms for q in (qx, qy)}
     index, gram, slope, D = _line_grams(orders)
-    rows = [[(sign, index[x], index[y]) for sign, x, y in factors[slot]] for slot in slots]
+    rows = [[(sign, index[x], index[y]) for sign, x, y in terms] for terms in factors.values()]
 
     k = len(slots)
     mass = [[Fraction(0)] * k for _ in range(k)]

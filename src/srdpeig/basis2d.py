@@ -90,11 +90,12 @@ def combination(family: str, p: int) -> list[tuple[int, tuple[int, int]]]:
 def slot_factors(
     family: str, p: int
 ) -> dict[tuple[int, int], list[tuple[int, tuple[int, int], tuple[int, int]]]]:
-    """Signed 1D factors of every slot of the order-p array.
+    """Signed 1D factors of every slot of the order-p array, in grid order.
 
     The entry at slot (i, j) is the sum over its factors (sign, (px, a),
     (py, b)) of sign * phi_a^(px)(x) * phi_b^(py)(y), with phi from
-    `generate_phi`.
+    `generate_phi`.  This fixes the local slot order (i outer, j inner)
+    that the reference matrices and the DOF numbering read.
     """
     factors: dict[tuple[int, int], list] = {}
     for sign, (px, py) in combination(family, p):
@@ -102,7 +103,7 @@ def slot_factors(
             for b in range(1, py + 2):
                 slot = (_embed(a, px, p), _embed(b, py, p))
                 factors.setdefault(slot, []).append((sign, (px, a), (py, b)))
-    return factors
+    return dict(sorted(factors.items()))
 
 
 def _basis_array(family: str, p: int) -> BasisArray:

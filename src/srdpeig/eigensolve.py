@@ -39,14 +39,17 @@ separable system.
   factorization is the Lanczos operator.  A target at which a is exactly
   singular in floating point raises `SingularShift`.
 
-`DENSE_MAX_DOFS` = 200 is where the dense and shift-invert paths cost about
-the same.  Medians of 41 `solve_generalized` calls at 2 BLAS threads (Intel
-Xeon, 2 vCPUs), dense against shift-invert: 1.8 against 4.0 ms at 96 DOFs,
-2.9 against 5.8 ms at 121, 5.0 against 5.0 ms at 161, 6.6 against 5.9 ms at
-185, 9.9 against 9.4 ms at 225, 12.3 against 7.0 ms at 253 and 16.3
-against 9.8 ms at 289.  Below it, ARPACK's fixed cost outweighs the
-O(n^3) of LAPACK: it makes 21 to 37 shift-invert solves and 62 to 110
-M-products even at 45 to 121 DOFs.
+`DENSE_MAX_DOFS` = 200 lies between the sizes where the dense and
+shift-invert paths cost the same on the L-shape (160 to 170 DOFs) and on the
+square (153 to 225).  Medians of 41 `solve_generalized` calls at 2 BLAS
+threads (Intel Xeon, 2 vCPUs), dense against shift-invert, ranges over 3 to
+5 runs: L-shape 2.0-3.2 against 3.8-6.1 ms at 96 DOFs, 6.3-7.3 against
+5.4-7.2 at 161, 9.0-9.8 against 7.5-8.0 at 185 and 13.2-14.1 against 8.3-8.7
+at 225; square Dirichlet serendipity at 2 pi^2, 5.9-6.2 against 9.3-10.7 at
+153, 12.4-13.2 against 10.9-12.4 at 225 and 33.2-35.3 against 14.6-16.2 at
+366.  Below it, ARPACK's fixed cost outweighs the O(n^3) of LAPACK: it
+makes 21 to 37 shift-invert solves and 62 to 110 M-products even at 45 to
+121 DOFs.
 
 All three targeted paths end in one `_finish` on the original, unscaled,
 assembled pencil: each pair must have a positive M-norm, its eigenvalue is

@@ -17,7 +17,8 @@ lists its vertex ids in `CORNERS` order (bottom-left, bottom-right,
 top-left, top-right) and its edge ids in `SIDES` order (left, right,
 bottom, top).  The DOF map is one (elements x local) array gathered from
 the same arrays by `slot_rule`, which gives each local slot a column of
-that table and an offset, once per family and order.
+that table and an offset, once per family and order; `dof_totals` reads
+its interior count, and `basis2d.slot_factors` fixes the slot order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .basis2d import (
     TENSOR,
     BasisArray,
     serendipity_basis,
-    serendipity_interior_count,
     slot_factors,
     tensor_basis,
 )
@@ -176,9 +176,10 @@ class DofMap:
 
 
 def dof_totals(mesh: Mesh, family: str, p: int) -> int:
-    """Closed-form DOF count: V + (p-1) E + (per-element interior) F."""
-    per_interior = (p - 1) ** 2 if family == TENSOR else serendipity_interior_count(p)
-    return mesh.n_vertices + (p - 1) * mesh.n_edges + per_interior * mesh.n_elements
+    """DOF count V + (p-1) E + F times the interior count of `slot_rule`,
+    which raises ValueError for an unknown family or p < 1."""
+    n_interior = slot_rule(family, p)[3]
+    return mesh.n_vertices + (p - 1) * mesh.n_edges + n_interior * mesh.n_elements
 
 
 @lru_cache(maxsize=None)
@@ -188,16 +189,16 @@ def slot_rule(
     """Where each local slot of the order-p family finds its global DOF.
 
     Returns (slots, column, offset, n_interior).  `slots` are the slots of
-    `basis2d.slot_factors` in grid order; slot a reads column `column[a]`
-    of an element's table of first DOFs plus `offset[a]`.  Columns 0-3 are
-    the vertices in `CORNERS` order, 4-7 DOF 0 of the edges in `SIDES`
-    order, and 8 the element's first interior DOF.  With the ends 1 and
-    p + 1, slot (i, j) is a vertex when i and j are both ends, a left/right
-    edge DOF of order j - 2 when only i is, a bottom/top edge DOF of order
-    i - 2 when only j is, and otherwise the next of the n_interior
-    interior DOFs in slot order.
+    `basis2d.slot_factors`, in the grid order it fixes; slot a reads column
+    `column[a]` of an element's table of first DOFs plus `offset[a]`.
+    Columns 0-3 are the vertices in `CORNERS` order, 4-7 DOF 0 of the edges
+    in `SIDES` order, and 8 the element's first interior DOF.  With the
+    ends 1 and p + 1, slot (i, j) is a vertex when i and j are both ends, a
+    left/right edge DOF of order j - 2 when only i is, a bottom/top edge DOF
+    of order i - 2 when only j is, and otherwise the next of the n_interior
+    interior DOFs in slot order.  `dof_totals` reads n_interior.
     """
-    slots = tuple(sorted(slot_factors(family, p)))
+    slots = tuple(slot_factors(family, p))
     ends = (1, p + 1)
     rule = []
     n_interior = 0
@@ -221,7 +222,7 @@ def build_dof_map(mesh: Mesh, family: str, p: int) -> DofMap:
     `element_dofs` is one gather of the (elements x 9) table of first DOFs
     (the vertex at each corner, DOF 0 of the edge on each side, the
     element's first interior DOF) at the columns and offsets of the cached
-    `slot_rule`.
+    `slot_rule`; the total is `dof_totals`.
     """
     local_slots, column, offset, n_int = slot_rule(family, p)
     n_vert, n_el = mesh.n_vertices, mesh.n_elements
@@ -236,12 +237,9 @@ def build_dof_map(mesh: Mesh, family: str, p: int) -> DofMap:
     )
     dofs = (first[:, column] + offset).astype(np.int32)
 
-    total = interior_base + n_int * n_el
-    assert total == dof_totals(mesh, family, p)
-
     edge_dofs = n_vert + (p - 1) * np.flatnonzero(mesh.boundary_edges)[:, None] + np.arange(p - 1)
     boundary = np.concatenate([np.flatnonzero(mesh.boundary_vertices), edge_dofs.ravel()])
-    return DofMap(family, p, total, list(local_slots), dofs, boundary)
+    return DofMap(family, p, dof_totals(mesh, family, p), list(local_slots), dofs, boundary)
 
 
 def dump_mesh_text(mesh: Mesh) -> str:

@@ -245,13 +245,14 @@ class TestTargetedSolve:
     # on both systems scipy's onenormest underestimated a 1-norm, of M by
     # 6.3% and of L by 14%
     @pytest.mark.parametrize(
-        "domain, bc, family, p, N, target",
+        "domain, bc, family, p, N, preset",
         [
-            ("lshape", "neumann", "serendipity", 4, 2, TARGET_PRESETS["lshape_neumann_1"]),
-            ("square", "dirichlet", "serendipity", 2, 4, TWO_PI_SQ),
+            ("lshape", "neumann", "serendipity", 4, 2, "lshape_neumann_1"),
+            ("square", "dirichlet", "serendipity", 2, 4, "two_pi_sq"),
         ],
     )
-    def test_backward_error_uses_exact_norms(self, domain, bc, family, p, N, target):
+    def test_backward_error_uses_exact_norms(self, domain, bc, family, p, N, preset):
+        target = TARGET_PRESETS[preset]
         mesh = build_mesh(domain, N)
         dm = build_dof_map(mesh, family, p)
         system = assemble(mesh, dm, reference_matrices(family, p), bc)
@@ -356,16 +357,17 @@ class TestDenseWindow:
     finished and gated like shift-invert."""
 
     @pytest.mark.parametrize(
-        "domain, bc, family, p, N, target",
+        "domain, bc, family, p, N, preset",
         [
-            ("square", "dirichlet", "tensor", 3, 3, FIVE_PI_SQ),
-            ("square", "dirichlet", "serendipity", 3, 3, FIVE_PI_SQ),
-            ("square", "dirichlet", "serendipity", 6, 2, TWO_PI_SQ),
-            ("lshape", "neumann", "tensor", 3, 2, TARGET_PRESETS["lshape_neumann_1"]),
-            ("lshape", "neumann", "serendipity", 5, 1, TARGET_PRESETS["lshape_neumann_4"]),
+            ("square", "dirichlet", "tensor", 3, 3, "five_pi_sq"),
+            ("square", "dirichlet", "serendipity", 3, 3, "five_pi_sq"),
+            ("square", "dirichlet", "serendipity", 6, 2, "two_pi_sq"),
+            ("lshape", "neumann", "tensor", 3, 2, "lshape_neumann_1"),
+            ("lshape", "neumann", "serendipity", 5, 1, "lshape_neumann_4"),
         ],
     )
-    def test_matches_shift_invert(self, monkeypatch, domain, bc, family, p, N, target):
+    def test_matches_shift_invert(self, monkeypatch, domain, bc, family, p, N, preset):
+        target = TARGET_PRESETS[preset]
         system = general(domain, bc, family, p, N)
         window = solve_generalized(system, target=target)
         assert K < window.ndofs <= eigensolve.DENSE_MAX_DOFS

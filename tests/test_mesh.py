@@ -175,6 +175,11 @@ class TestDofMap:
         assert dof_totals(build_mesh("square", 2), "tensor", 2) == 25
         assert dof_totals(build_mesh("square", 2), "serendipity", 2) == 21
         assert dof_totals(build_mesh("lshape", 1), "serendipity", 4) == 41
+        # the count comes from the slot rule, which knows only the families
+        # and orders >= 1
+        for family, p in [("tensr", 3), ("tensor", 0)]:
+            with pytest.raises(ValueError):
+                dof_totals(build_mesh("square", 2), family, p)
 
     @pytest.mark.parametrize("domain", ["square", "lshape"])
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
@@ -183,7 +188,7 @@ class TestDofMap:
         for N in (1, 2, 3, 16):
             mesh = build_mesh(domain, N)
             dm = build_dof_map(mesh, family, p)
-            assert dm.total == dof_totals(mesh, family, p)
+            assert np.unique(dm.element_dofs).size == dm.total == dof_totals(mesh, family, p)
 
     def test_every_dof_referenced(self):
         for domain in ("square", "lshape"):
