@@ -133,10 +133,3 @@ def serendipity_basis(p: int) -> BasisArray:
     """
     return _basis_array(SERENDIPITY, p)
 
-
-def serendipity_interior_count(p: int) -> int:
-    """Interior functions of the order-p serendipity element."""
-    if p < 2:
-        return 0
-    return (p - 3) * (p - 2) // 2
-

@@ -1,8 +1,9 @@
 """Symmetric-definite generalized eigensolver L v = lambda M v.
 
-With no target, the pencil is densified and handed to one LAPACK call,
-`scipy.linalg.eigh(L, M)`, for the full spectrum; spectrum tables and the
-oracle tests use it.  With a target, the `K` eigenpairs nearest it are
+A solve returns one of two results.  With no target, the pencil is
+densified and handed to one LAPACK call, `scipy.linalg.eigh(L, M)`, for
+the full spectrum, values only; spectrum tables and the oracle tests use
+it.  With a target, the `K` eigenpairs nearest it, vectors included, are
 found (ties break toward the smaller eigenvalue, as in `select_near`) by
 one of three paths.  The rule reads only the system: a system that carries
 a `LineFactor` (a tensor system on the unit square) is separable; any other
@@ -125,11 +126,13 @@ class SingularShift(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Ascending eigenvalues with optional eigenvectors and the system size.
+    """Ascending eigenvalues and the system size, in one of two shapes.
 
-    `target` is None for a full spectrum; otherwise the eigenvalues are
-    only the window nearest that target, and `backward_error[k]` is the
-    backward error of pair k.
+    A full spectrum has `target` None and neither vectors nor backward
+    errors.  A targeted window holds the pairs nearest `target`:
+    `eigenvectors[:, k]` is the vector of eigenvalue k, checked by
+    `_finish`, and `backward_error[k]` its backward error.  An empty system
+    gives an empty result with no vectors.
     """
 
     eigenvalues: np.ndarray
@@ -142,37 +145,37 @@ class EigenResult:
         return len(self.eigenvalues)
 
 
-def solve_generalized(
-    system: GlobalSystem, with_vectors: bool = False, target: float | None = None
-) -> EigenResult:
+def solve_generalized(system: GlobalSystem, target: float | None = None) -> EigenResult:
     """Eigenvalues of the assembled pencil (L, M).
 
-    With no target, the full spectrum from one dense `eigh` call.  With a
-    target, the `K` eigenpairs nearest it (all of them when there are at
-    most `K`): from the 1D pencil when the system carries a `LineFactor`,
-    else from the dense call when the system has at most `DENSE_MAX_DOFS`
-    DOFs, else from sparse shift-invert.  Every targeted path returns
-    Rayleigh quotients with backward errors through one `_finish` (module
-    docstring).
+    With no target, the full spectrum from one dense `eigh` call, without
+    vectors.  With a target, the `K` eigenpairs nearest it (all of them when
+    there are at most `K`), with their n x min(n, K) vectors ordered like
+    the eigenvalues: from the 1D pencil when the system carries a
+    `LineFactor`, else from the dense call when the system has at most
+    `DENSE_MAX_DOFS` DOFs, else from sparse shift-invert.  Every targeted
+    path returns Rayleigh quotients with backward errors through one
+    `_finish` (module docstring).
     """
     n = system.dimension
     if n == 0:
         return EigenResult(np.empty(0))
     if target is None:
-        w, vectors = _eigh(system.L.toarray(), system.M.toarray(), with_vectors)
-        return EigenResult(w, vectors, ndofs=n)
+        w = _eigh(system.L.toarray(), system.M.toarray(), eigvals_only=True)
+        return EigenResult(w, ndofs=n)
     if system.factor is not None:
-        return _solve_separable(system, target, with_vectors)
+        return _solve_separable(system, target)
     if n > max(K, DENSE_MAX_DOFS):
-        return _solve_near(system, target, with_vectors)
-    return _solve_dense(system, target, with_vectors)
+        return _solve_near(system, target)
+    return _solve_dense(system, target)
 
 
-def _eigh(L: np.ndarray, M: np.ndarray, with_vectors: bool):
-    """(eigenvalues, eigenvectors or None) of the dense pencil (L, M) by one
-    LAPACK call; a failed Cholesky factorization of M raises MassNotPD."""
+def _eigh(L: np.ndarray, M: np.ndarray, eigvals_only: bool = False):
+    """`eigh(L, M)` of the dense pencil by one LAPACK call: (eigenvalues,
+    eigenvectors), or the eigenvalues alone with `eigvals_only`; a failed
+    Cholesky factorization of M raises MassNotPD."""
     try:
-        result = eigh(L, M, eigvals_only=not with_vectors)
+        return eigh(L, M, eigvals_only=eigvals_only)
     except np.linalg.LinAlgError as exc:
         # M is eigh's B; its failed Cholesky reads "... of B is not positive definite"
         if "positive definite" not in str(exc):
@@ -180,17 +183,16 @@ def _eigh(L: np.ndarray, M: np.ndarray, with_vectors: bool):
         raise MassNotPD(
             f"mass matrix of dimension {M.shape[0]} is not positive definite"
         ) from exc
-    return result if with_vectors else (result, None)
 
 
-def _solve_dense(system: GlobalSystem, target: float, with_vectors: bool) -> EigenResult:
+def _solve_dense(system: GlobalSystem, target: float) -> EigenResult:
     """The K eigenpairs nearest the target from one dense `eigh` of the
     pencil, checked by `_finish`."""
-    w, V = _eigh(system.L.toarray(), system.M.toarray(), True)
-    return _finish(system.M, system.L, target, V[:, _nearest(w, target, K)], with_vectors)
+    w, V = _eigh(system.L.toarray(), system.M.toarray())
+    return _finish(system.M, system.L, target, V[:, _nearest(w, target, K)])
 
 
-def _solve_separable(system: GlobalSystem, target: float, with_vectors: bool) -> EigenResult:
+def _solve_separable(system: GlobalSystem, target: float) -> EigenResult:
     """The K eigenpairs nearest the target from the system's 1D pencil,
     checked by `_finish` on the assembled one.
 
@@ -199,14 +201,14 @@ def _solve_separable(system: GlobalSystem, target: float, with_vectors: bool) ->
     the vectors U[ix, a] U[iy, b] (module docstring).
     """
     line = system.factor
-    mu, U = _eigh(line.stiffness, line.mass, True)
+    mu, U = _eigh(line.stiffness, line.mass)
     sums = (mu[:, None] + mu).ravel()
     a, b = np.divmod(_nearest(sums, target, K), mu.size)
     V = U[line.ix[:, None], a] * U[line.iy[:, None], b]
-    return _finish(system.M, system.L, target, V, with_vectors)
+    return _finish(system.M, system.L, target, V)
 
 
-def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> EigenResult:
+def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
     """The K eigenpairs nearest the target by sparse shift-invert Lanczos on
     the balanced pencil, checked on the original one."""
     n = system.dimension
@@ -259,10 +261,10 @@ def _solve_near(system: GlobalSystem, target: float, with_vectors: bool) -> Eige
         raise SolveNotConverged(
             f"shift-invert solve about {target} did not converge (dimension {n})"
         ) from exc
-    return _finish(M, L, target, d[:, None] * V, with_vectors)
+    return _finish(M, L, target, d[:, None] * V)
 
 
-def _finish(M, L, target: float, V: np.ndarray, with_vectors: bool) -> EigenResult:
+def _finish(M, L, target: float, V: np.ndarray) -> EigenResult:
     """Check and finish the eigenvectors V of the unscaled pencil (L, M):
     each needs v^T M v > 0, its eigenvalue is the Rayleigh quotient
     v^T L v / v^T M v, and its backward error is recorded.  Pairs come back
@@ -277,8 +279,7 @@ def _finish(M, L, target: float, V: np.ndarray, with_vectors: bool) -> EigenResu
     scale = _norm1(L) + np.abs(w) * _norm1(M)
     eta = np.abs(residual).sum(axis=0) / (scale * np.abs(V).sum(axis=0))
     order = np.argsort(w, kind="stable")
-    vectors = V[:, order] if with_vectors else None
-    return EigenResult(w[order], vectors, n, target, eta[order])
+    return EigenResult(w[order], V[:, order], n, target, eta[order])
 
 
 def _norm1(A) -> float:

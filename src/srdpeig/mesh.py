@@ -158,13 +158,12 @@ class DofMap:
     edge, ordered by functional order k = 0..p-2), then interior DOFs
     grouped by element in slot grid order.  `element_dofs` is one
     (elements x local) int32 array: entry [e, a] is the global index of
-    local slot `local_slots[a]` on element e.
+    local slot a on element e, in the slot order of `slot_rule`.
     """
 
     family: str
     p: int
     total: int
-    local_slots: list[tuple[int, int]]
     element_dofs: np.ndarray
     _boundary: np.ndarray = field(repr=False)
 
@@ -224,7 +223,7 @@ def build_dof_map(mesh: Mesh, family: str, p: int) -> DofMap:
     element's first interior DOF) at the columns and offsets of the cached
     `slot_rule`; the total is `dof_totals`.
     """
-    local_slots, column, offset, n_int = slot_rule(family, p)
+    _, column, offset, n_int = slot_rule(family, p)
     n_vert, n_el = mesh.n_vertices, mesh.n_elements
     interior_base = n_vert + (p - 1) * mesh.n_edges
     first = np.concatenate(
@@ -239,7 +238,7 @@ def build_dof_map(mesh: Mesh, family: str, p: int) -> DofMap:
 
     edge_dofs = n_vert + (p - 1) * np.flatnonzero(mesh.boundary_edges)[:, None] + np.arange(p - 1)
     boundary = np.concatenate([np.flatnonzero(mesh.boundary_vertices), edge_dofs.ravel()])
-    return DofMap(family, p, dof_totals(mesh, family, p), list(local_slots), dofs, boundary)
+    return DofMap(family, p, dof_totals(mesh, family, p), dofs, boundary)
 
 
 def dump_mesh_text(mesh: Mesh) -> str:

@@ -8,7 +8,6 @@ _COLORS = {
     "tensor": "#1f77b4",
     "serendipity": "#d62728",
 }
-_FALLBACK_COLORS = ("#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 WIDTH = 720
 HEIGHT = 480
@@ -16,10 +15,6 @@ MARGIN_L = 70
 MARGIN_R = 160
 MARGIN_T = 40
 MARGIN_B = 55
-
-
-def _color(name: str, k: int) -> str:
-    return _COLORS.get(name, _FALLBACK_COLORS[k % len(_FALLBACK_COLORS)])
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -42,10 +37,11 @@ def line_chart(
     path,
     xlabel: str,
     ylabel: str,
-    title: str = "",
+    title: str,
 ) -> None:
     """Write an SVG chart with one polyline + round markers per series.
 
+    Series names are element families, whose `_COLORS` entry draws them.
     Coordinates are used as given (apply any log transform beforehand).
     Series with a single point get a marker but no polyline.
     """
@@ -78,12 +74,9 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.2f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.2f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
     # axes
     x0, y0 = MARGIN_L, MARGIN_T + plot_h
     parts.append(
@@ -116,7 +109,7 @@ def line_chart(
     )
 
     for k, (name, pts) in enumerate(series.items()):
-        color = _color(name, k)
+        color = _COLORS[name]
         coords = [(px(x), py(y)) for x, y in sorted(pts)]
         if len(coords) > 1:
             path_pts = " ".join(f"{cx:.2f},{cy:.2f}" for cx, cy in coords)

@@ -410,6 +410,13 @@ def space_exponents(family: str, p: int) -> list[tuple[int, int]]:
     return sorted(monos)
 
 
+def serendipity_interior_count(p: int) -> int:
+    """Interior functions of the order-p serendipity element."""
+    if p < 2:
+        return 0
+    return (p - 3) * (p - 2) // 2
+
+
 def bruteforce_square_spectrum(family: str, p: int, N: int, bc: str) -> np.ndarray:
     """Galerkin spectrum on the unit square built without any basis machinery.
 

@@ -13,6 +13,7 @@ from oracles import (
     basis_functions,
     coordinates,
     polynomial_rank,
+    serendipity_interior_count,
     space_exponents,
     spans,
 )
@@ -23,7 +24,6 @@ from srdpeig.basis2d import (
     FAMILIES,
     combination,
     serendipity_basis,
-    serendipity_interior_count,
     slot_factors,
     tensor_basis,
 )

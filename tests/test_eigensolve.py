@@ -113,18 +113,46 @@ class TestSolveGeneralized:
         with pytest.raises(MassNotPD):
             solve_generalized(synthetic_system(L, M))
 
+    def test_full_spectrum_has_no_vectors(self):
+        system = assembled("square", "dirichlet", "tensor", 2, 2)
+        result = solve_generalized(system)
+        assert len(result) == system.dimension
+        assert result.eigenvectors is None and result.backward_error is None
+
     def test_vectors_satisfy_pencil(self):
-        result_sys = None
-        mesh = build_mesh("square", 2)
-        dm = build_dof_map(mesh, "tensor", 2)
-        result_sys = assemble(mesh, dm, reference_matrices("tensor", 2), "dirichlet")
-        result = solve_generalized(result_sys, with_vectors=True)
-        L = result_sys.L.toarray()
-        M = result_sys.M.toarray()
+        system = assembled("square", "dirichlet", "tensor", 2, 2)
+        result = solve_generalized(system, target=TWO_PI_SQ)
+        L = system.L.toarray()
+        M = system.M.toarray()
         for k in (0, len(result) - 1):
             v = result.eigenvectors[:, k]
             residual = L @ v - result.eigenvalues[k] * (M @ v)
             assert np.abs(residual).max() < 1e-8 * max(1.0, abs(result.eigenvalues[k]))
+
+    @pytest.mark.parametrize(
+        "path, bc, p, N",
+        [
+            ("separable", "neumann", 4, 3),
+            ("dense", "neumann", 4, 3),
+            ("shift-invert", "neumann", 4, 3),
+            ("separable", "dirichlet", 1, 2),
+            ("dense", "dirichlet", 1, 2),
+        ],
+        ids=["separable", "dense", "shift-invert", "separable-one-dof", "dense-one-dof"],
+    )
+    def test_targeted_result_carries_checked_vectors(self, request, path, bc, p, N):
+        # K vectors, or all n when n <= K, in the order of the eigenvalues
+        if path == "shift-invert":
+            request.getfixturevalue("shift_invert")
+        build = assembled if path == "separable" else general
+        system = build("square", bc, "tensor", p, N)
+        result = solve_generalized(system, target=FIVE_PI_SQ)
+        n = system.dimension
+        V = result.eigenvectors
+        assert V.shape == (n, min(K, n))
+        residual = system.L @ V - (system.M @ V) * result.eigenvalues
+        assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
+        assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
 
 
 @pytest.mark.usefixtures("shift_invert")
@@ -156,7 +184,7 @@ class TestTargetedSolve:
 
     def test_vectors_satisfy_pencil(self):
         system = general("square", "dirichlet", "tensor", 2, 2)
-        result = solve_generalized(system, with_vectors=True, target=TWO_PI_SQ)
+        result = solve_generalized(system, target=TWO_PI_SQ)
         assert result.eigenvectors.shape == (system.dimension, K)
         V = result.eigenvectors
         residual = system.L @ V - (system.M @ V) * result.eigenvalues
@@ -256,7 +284,7 @@ class TestTargetedSolve:
         mesh = build_mesh(domain, N)
         dm = build_dof_map(mesh, family, p)
         system = assemble(mesh, dm, reference_matrices(family, p), bc)
-        result = solve_generalized(system, with_vectors=True, target=target)
+        result = solve_generalized(system, target=target)
         V, w = result.eigenvectors, result.eigenvalues
         # the residual sits at rounding level, so it is formed as the solver
         # forms it; only the norms are recomputed, densely
@@ -279,7 +307,7 @@ class TestTargetedSolve:
         n = 10
         L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         system = synthetic_system(L, np.eye(n))
-        window = solve_generalized(system, with_vectors=True, target=2.0)
+        window = solve_generalized(system, target=2.0)
         dense = solve_generalized(system)
         expected = np.array(select_near(dense, 2.0, multiplicity=K))
         assert window.eigenvalues == pytest.approx(expected, rel=1e-12, abs=0)
@@ -392,15 +420,6 @@ class TestDenseWindow:
         with pytest.raises(SolveNotConverged, match="backward error"):
             select_near(result, TWO_PI_SQ)
 
-    def test_vectors_only_when_requested(self):
-        system = general("square", "dirichlet", "tensor", 2, 2)
-        assert solve_generalized(system, target=TWO_PI_SQ).eigenvectors is None
-        result = solve_generalized(system, with_vectors=True, target=TWO_PI_SQ)
-        V = result.eigenvectors
-        assert V.shape == (system.dimension, K)
-        residual = system.L @ V - (system.M @ V) * result.eigenvalues
-        assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
-
     def test_small_system_returns_all_pairs(self):
         # one free DOF: the window is the whole spectrum, still checked
         system = general("square", "dirichlet", "tensor", 1, 2)
@@ -454,16 +473,6 @@ class TestSeparable:
         assert ours == pytest.approx(theirs, rel=1e-10, abs=0)
         assert abs(ours[1] - ours[0]) < 1e-9 * ours[0]
 
-    def test_vectors_only_when_requested(self):
-        system = assembled("square", "neumann", "tensor", 4, 3)
-        assert solve_generalized(system, target=FIVE_PI_SQ).eigenvectors is None
-        result = solve_generalized(system, with_vectors=True, target=FIVE_PI_SQ)
-        V = result.eigenvectors
-        assert V.shape == (system.dimension, K)
-        residual = system.L @ V - (system.M @ V) * result.eigenvalues
-        assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
-        assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
-
     def test_small_system_returns_all_pairs(self):
         # one free DOF: the 1D pencil has one free DOF too
         system = assembled("square", "dirichlet", "tensor", 1, 2)
@@ -500,7 +509,7 @@ class TestSeparable:
         # no factorization of L - 0 M, so no SingularShift at any size
         monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
         system = assembled("square", "neumann", "tensor", p, N)
-        result = solve_generalized(system, with_vectors=True, target=0.0)
+        result = solve_generalized(system, target=0.0)
         assert abs(select_near(result, 0.0)[0]) < 1e-12
         v = result.eigenvectors[:, 0]
         # the constant mode takes one value at every vertex
@@ -522,7 +531,7 @@ class TestRayleighQuotient:
         mesh = build_mesh("lshape", 1)
         dm = build_dof_map(mesh, "tensor", 5)
         system = assemble(mesh, dm, reference_matrices("tensor", 5), "neumann")
-        result = solve_generalized(system, with_vectors=True, target=target)
+        result = solve_generalized(system, target=target)
         for k in range(K):
             exact = exact_rayleigh_quotient(system, result.eigenvectors[:, k])
             assert abs(result.eigenvalues[k] - exact) <= 1e-14 * max(abs(exact), target)

@@ -5,7 +5,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from srdpeig.mesh import CORNERS, SIDES, build_dof_map, build_mesh, dof_totals, dump_mesh_text
+from srdpeig.mesh import (
+    CORNERS,
+    SIDES,
+    build_dof_map,
+    build_mesh,
+    dof_totals,
+    dump_mesh_text,
+    slot_rule,
+)
 
 
 # SHA-256 of `dump_mesh_text` per (domain, N)
@@ -224,8 +232,9 @@ class TestDofMap:
         shared = left["right"]
         base = mesh.n_vertices + shared * (p - 1)
         expected = [base + k for k in range(p - 1)]
-        left_slots = {slot: g for slot, g in zip(dm.local_slots, dm.element_dofs[0])}
-        right_slots = {slot: g for slot, g in zip(dm.local_slots, dm.element_dofs[1])}
+        slots = slot_rule("tensor", p)[0]
+        left_slots = {slot: g for slot, g in zip(slots, dm.element_dofs[0])}
+        right_slots = {slot: g for slot, g in zip(slots, dm.element_dofs[1])}
         assert [left_slots[(p + 1, j)] for j in range(2, p + 1)] == expected
         assert [right_slots[(1, j)] for j in range(2, p + 1)] == expected
 
