@@ -6,8 +6,8 @@ reference matrices, summed in integers from the 1D coefficient tables and the
 signed 1D x 1D product rule of each family -> sparse assembly on square or
 L-shaped meshes -> generalized eigensolve (the eigenvalues nearest a target,
 from one 1D pencil for a tensor system on the square, or the full spectrum)
--> refinement studies.  The 2D basis arrays are built
-as exact polynomials only for the `srdp-eig basis` catalog and the tests.
+-> refinement studies.  The 2D bases are expanded into exact coefficient
+maps only for the `srdp-eig basis` catalog and the tests.
 """
 
 __version__ = "0.1.0"

@@ -77,7 +77,7 @@ class LocalMatrices:
     """Exact rational mass/stiffness on the reference square.
 
     Rows/columns follow the slots of `basis2d.slot_factors`, in the grid
-    order it fixes; they are the nonzero slots of the basis array.
+    order it fixes; they are the slots of the basis's `functions`.
 
     For the tensor family, `line` holds the integer 1D tables (G, S, D) of
     `_line_grams` for the order-p functions phi_1 .. phi_(p+1): int phi_a
@@ -134,12 +134,9 @@ def _line_grams(
     for q in orders:
         for a, f in enumerate(generate_phi(q), start=1):
             index[q, a] = len(funcs)
-            funcs.append(f.terms)
-    c = lcm(*(v.denominator for terms in funcs for v in terms.values()))
-    coeffs = [
-        [(k, v.numerator * (c // v.denominator)) for (k, _), v in terms.items()]
-        for terms in funcs
-    ]
+            funcs.append(f)
+    c = lcm(*(v.denominator for f in funcs for v in f.values()))
+    coeffs = [[(k, v.numerator * (c // v.denominator)) for k, v in f.items()] for f in funcs]
     top = 2 * max(orders)
     w = lcm(*range(1, top + 2, 2))
     moment = [2 * w // (m + 1) if m % 2 == 0 else 0 for m in range(top + 1)]

@@ -27,6 +27,9 @@ at -1, and the factors in front make the remaining endpoint value 1.  The
 p+1 functionals determine a polynomial of degree <= p uniquely, so these are
 the basis functions.  For p = 1 the outer pair reads (1 - x)/2 and (1 + x)/2
 and the middle range is empty.
+
+Each function is its nonzero exact coefficients keyed by power of x, in a
+read-only mapping: the cached tuple is shared by every caller.
 """
 
 from __future__ import annotations
@@ -34,20 +37,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-
-from .polynomial import Polynomial
+from types import MappingProxyType
+from typing import Mapping
 
 
 @lru_cache(maxsize=None)
-def generate_phi(p: int) -> tuple[Polynomial, ...]:
-    """The order-p univariate basis phi_1 .. phi_(p+1) (p >= 1)."""
+def generate_phi(p: int) -> tuple[Mapping[int, Fraction], ...]:
+    """The order-p univariate basis phi_1 .. phi_(p+1) (p >= 1), each as its
+    nonzero coefficients keyed by power of x, in a read-only mapping."""
     if p < 1:
         raise ValueError("order must be >= 1")
-    half = Fraction(1, 2)
-    left = Polynomial({(p, 0): half, (p - 1, 0): -half}) * (-1) ** p
+    half, end = Fraction(1, 2), Fraction((-1) ** p, 2)
+    left = {p: end, p - 1: -end}
     middle = [
-        Polynomial({(k, 0): 1, (p - (p - k) % 2, 0): -1}) * Fraction(1, factorial(k))
+        {k: Fraction(1, factorial(k)), p - (p - k) % 2: Fraction(-1, factorial(k))}
         for k in range(p - 1)
     ]
-    right = Polynomial({(p, 0): half, (p - 1, 0): half})
-    return (left, *middle, right)
+    right = {p: half, p - 1: half}
+    return tuple(MappingProxyType(f) for f in (left, *middle, right))

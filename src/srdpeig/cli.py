@@ -6,6 +6,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Mapping
 
 from .assembly import BOUNDARY_CONDITIONS, assemble, reference_matrices, write_matrix_coo
 from .basis2d import FAMILIES, BasisArray
@@ -13,31 +16,55 @@ from .mesh import DOMAINS, build_dof_map, build_mesh, dump_mesh_text, reference_
 from .studies import StudySpec, resolve_target, run_study, spectrum_report
 
 
+Terms = Mapping[tuple[int, int], Fraction]
+
+
+def _format_polynomial(terms: Terms) -> str:
+    """Terms by descending total degree, then descending x degree, as in
+    "x^2*y - 3/2*x + 1"."""
+    text = ""
+    for (i, j), c in sorted(terms.items(), key=lambda t: (-sum(t[0]), -t[0][0])):
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("x", i), ("y", j)) if e)
+        factors = [mono] if abs(c) == 1 and mono else [str(abs(c)), mono]
+        text += f" {'-' if c < 0 else '+'} " + "*".join(filter(None, factors))
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _content_and_primitive(terms: Terms) -> tuple[Fraction, Terms]:
+    """Split a nonzero polynomial into (scalar content, integer-coefficient
+    polynomial); the content carries the sign of the leading term, so the
+    primitive part leads with a positive coefficient."""
+    content = Fraction(
+        gcd(*(c.numerator for c in terms.values())),
+        lcm(*(c.denominator for c in terms.values())),
+    )
+    if terms[max(terms, key=lambda e: (e[0] + e[1], e[0]))] < 0:
+        content = -content
+    return content, {e: c / content for e, c in terms.items()}
+
+
 def format_basis_text(basis: BasisArray) -> str:
-    """Human-readable catalog: one factored line per nonzero slot."""
+    """Human-readable catalog: one factored line per function."""
     lines = [f"{basis.family} basis, order {basis.p}, {basis.count_nonzero} functions"]
-    for i, j in basis.nonzero_slots():
-        content, primitive = basis.entry(i, j).content_and_primitive()
+    for (i, j), terms in basis.functions.items():
+        content, primitive = _content_and_primitive(terms)
         if content == 1:
-            body = str(primitive)
+            body = _format_polynomial(primitive)
         else:
-            body = f"({content}) * ({primitive})"
+            body = f"({content}) * ({_format_polynomial(primitive)})"
         lines.append(f"[{i},{j}] {body}")
     return "\n".join(lines) + "\n"
 
 
 def format_basis_records(basis: BasisArray) -> str:
-    """Machine-readable catalog: one JSON record per nonzero slot.
+    """Machine-readable catalog: one JSON record per function.
 
     Each record carries the slot indices and the exact coefficient list as
     [exp_x, exp_y, numerator, denominator] quadruples.
     """
     lines = []
-    for i, j in basis.nonzero_slots():
-        terms = [
-            [ex, ey, c.numerator, c.denominator]
-            for (ex, ey), c in sorted(basis.entry(i, j).terms.items())
-        ]
+    for (i, j), poly in basis.functions.items():
+        terms = [[ex, ey, c.numerator, c.denominator] for (ex, ey), c in sorted(poly.items())]
         lines.append(
             json.dumps({"family": basis.family, "p": basis.p, "i": i, "j": j, "terms": terms})
         )

@@ -142,7 +142,7 @@ def build_mesh(domain: str, N: int) -> Mesh:
 
 
 def reference_basis(family: str, p: int) -> BasisArray:
-    """Basis array for the requested element family."""
+    """Basis of the requested element family."""
     if family == TENSOR:
         return tensor_basis(p)
     if family == SERENDIPITY:

@@ -1,8 +1,9 @@
 """Independent verification routines for the test suite.
 
-Everything here deliberately avoids the code paths it checks: exact
-polynomial algebra, derivatives and evaluation run on `Poly`, this module's
-own polynomial type, instead of `srdpeig.polynomial`; float integrals use
+Everything here deliberately avoids the code paths it checks, and imports
+nothing from the package: exact polynomial algebra, derivatives and
+evaluation run on `Poly`, this module's own polynomial type, which reads the
+package's bases only as plain coefficient maps; float integrals use
 Gauss quadrature, exact Gram matrices integrate whole 2D products by the
 monomial rule instead of summing the package's integer 1D cross-Gram tables,
 eigenvalues come from Sturm bisection or separation of variables instead of
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
@@ -25,27 +27,39 @@ import numpy as np
 
 
 def _terms_of(value) -> dict[tuple[int, int], Fraction] | None:
-    """Exponent-to-coefficient map of an exact scalar, a `Poly`, or any
-    polynomial exposing `terms` (the package's); None for anything else."""
+    """Exponent-to-coefficient map of an exact scalar, a `Poly`, or a
+    coefficient mapping as the package builds its bases: keyed by (ex, ey),
+    or by the power of x for a 1D function; None for anything else."""
     if isinstance(value, (int, Fraction)):
         return {(0, 0): Fraction(value)} if value else {}
-    terms = getattr(value, "terms", None)
-    return None if terms is None else dict(terms)
+    if isinstance(value, Poly):
+        return value.terms
+    if isinstance(value, Mapping):
+        return Poly({(e, 0) if isinstance(e, int) else e: c for e, c in value.items()}).terms
+    return None
 
 
 class Poly:
     """Exact polynomial in x and y with `Fraction` coefficients, for the
     checks in this module and the hand-entered tables in `reference_bases`.
 
-    Operands may be exact scalars or package polynomials, read through their
-    `terms`; a package polynomial defers mixed `+`, `*` and `==` to this type
-    through Python's reflected operators.
+    Operands may be exact scalars or the package's coefficient maps; a map
+    defers mixed `+`, `*` and `==` to this type through Python's reflected
+    operators.  Coefficients must be exact, so a package function with float
+    coefficients cannot pass an exact comparison.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {e: Fraction(c) for e, c in (terms or {}).items() if c != 0}
+        self.terms = {}
+        for (i, j), c in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in {(i, j)}")
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {c!r}")
+            if c:
+                self.terms[i, j] = Fraction(c)
 
     @classmethod
     def of(cls, value) -> "Poly":
@@ -155,9 +169,9 @@ def gauss_box_integral(poly: Poly, n: int = 9) -> float:
     return float((eval_float(poly, xg, yg) * wg).sum())
 
 
-def basis_functions(basis) -> list:
-    """Nonzero entries of a basis array in grid order."""
-    return [f for row in basis.entries for f in row if not f.is_zero]
+def basis_functions(basis) -> list[Poly]:
+    """The functions of a basis, in grid order."""
+    return [Poly.of(f) for f in basis.functions.values()]
 
 
 def matrix_digest(lm) -> str:
@@ -252,7 +266,7 @@ def exact_rank(matrix: list[list]) -> int:
 
 def _coefficient_rows(polys: list) -> list[list[Fraction]]:
     """One row of exact coefficients per polynomial, over their joint support."""
-    terms = [poly.terms for poly in polys]
+    terms = [Poly.of(poly).terms for poly in polys]
     support = sorted(set().union(*terms))
     return [[t.get(e, Fraction(0)) for e in support] for t in terms]
 

@@ -1,4 +1,4 @@
-"""Tensor-product and serendipity basis arrays: golden entries, counts,
+"""Tensor-product and serendipity bases: golden functions, counts,
 classification, span, and nodal structure."""
 
 from fractions import Fraction
@@ -48,12 +48,12 @@ class Role(NamedTuple):
 
 
 def classify_dofs(basis):
-    """(slot, role) of every nonzero slot of a basis array, in grid order,
+    """(slot, role) of every slot of a basis, in grid order,
     read from `mesh.slot_rule`, the rule the DOF numbering runs: columns
     0-3 are the corners in `CORNERS` order, 4-7 the sides in `SIDES` order
     (the offset is k), and 8 is interior."""
     slots, column, offset, _ = slot_rule(basis.family, basis.p)
-    assert list(slots) == basis.nonzero_slots()
+    assert list(slots) == list(basis.functions)
     roles = []
     for c, k in zip(column, offset):
         if c < 4:
@@ -73,13 +73,13 @@ def serendipity_dimension(p):
 class TestTensor:
     def test_p1_is_bilinear_quadruple(self):
         basis = tensor_basis(1)
-        assert basis.entry(1, 1) == Q * (1 - X) * (1 - Y)
-        assert basis.entry(2, 1) == Q * (1 + X) * (1 - Y)
-        assert basis.entry(1, 2) == Q * (1 - X) * (1 + Y)
-        assert basis.entry(2, 2) == Q * (1 + X) * (1 + Y)
+        assert basis.functions[1, 1] == Q * (1 - X) * (1 - Y)
+        assert basis.functions[2, 1] == Q * (1 + X) * (1 - Y)
+        assert basis.functions[1, 2] == Q * (1 - X) * (1 + Y)
+        assert basis.functions[2, 2] == Q * (1 + X) * (1 + Y)
 
     def test_p2_center_entry(self):
-        assert tensor_basis(2).entry(2, 2) == (1 - X**2) * (1 - Y**2)
+        assert tensor_basis(2).functions[2, 2] == (1 - X**2) * (1 - Y**2)
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_entries_are_products(self, p):
@@ -87,7 +87,8 @@ class TestTensor:
         basis = tensor_basis(p)
         for i in range(1, p + 2):
             for j in range(1, p + 2):
-                assert basis.entry(i, j) == phi[i - 1] * phi[j - 1].swap_xy()
+                in_y = Poly({(0, k): c for k, c in phi[j - 1].items()})
+                assert basis.functions[i, j] == phi[i - 1] * in_y
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_counts(self, p):
@@ -106,20 +107,21 @@ class TestSerendipity:
         grid = REFERENCE_SERENDIPITY[p]
         for i in range(1, p + 2):
             for j in range(1, p + 2):
-                assert basis.entry(i, j) == grid[i - 1][j - 1], f"p={p} slot ({i},{j})"
+                got = basis.functions.get((i, j), {})
+                assert got == grid[i - 1][j - 1], f"p={p} slot ({i},{j})"
 
     def test_p3_corner(self):
-        assert serendipity_basis(3).entry(1, 1) == Q * (X - 1) * (Y - 1) * (
+        assert serendipity_basis(3).functions[1, 1] == Q * (X - 1) * (Y - 1) * (
             X**2 + Y**2 - 1
         )
 
     def test_p4_count_and_shape(self):
         basis = serendipity_basis(4)
-        assert len(basis.entries) == 5
+        assert max(max(slot) for slot in basis.functions) == 5
         assert basis.count_nonzero == 17
 
     def test_p1_equals_tensor(self):
-        assert serendipity_basis(1).entries == tensor_basis(1).entries
+        assert serendipity_basis(1).functions == tensor_basis(1).functions
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_counts(self, p):
@@ -148,9 +150,9 @@ class TestSerendipity:
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_xy_swap_symmetry(self, p):
-        basis = serendipity_basis(p)
-        for i, j in basis.nonzero_slots():
-            assert basis.entry(i, j).swap_xy() == basis.entry(j, i)
+        functions = serendipity_basis(p).functions
+        for (i, j), f in functions.items():
+            assert {(ey, ex): c for (ex, ey), c in f.items()} == functions[j, i]
 
     def test_closed_form_p7(self):
         basis = serendipity_basis(7)
@@ -177,8 +179,28 @@ def test_factor_slots_are_nonzero_slots(family, p):
     """Every slot with factors holds a nonzero function: no combination
     cancels a slot to zero, so the study path may number slots from
     `slot_factors` without building the polynomials.  They come in grid
-    order, the order of `nonzero_slots`."""
-    assert list(slot_factors(family, p)) == reference_basis(family, p).nonzero_slots()
+    order, the order of the basis's `functions`, and no stored coefficient
+    is zero."""
+    functions = reference_basis(family, p).functions
+    assert list(slot_factors(family, p)) == list(functions)
+    assert all(c != 0 for f in functions.values() for c in f.values())
+    assert all(functions.values())
+
+
+def test_cached_bases_are_read_only():
+    """`generate_phi` and `serendipity_basis` hand every caller the same
+    cached value, so no caller can change it in place."""
+    phi = generate_phi(3)
+    functions = serendipity_basis(3).functions
+    with pytest.raises(TypeError):
+        phi[0][3] = Fraction(7)
+    with pytest.raises(TypeError):
+        functions[1, 1][0, 0] = Fraction(7)
+    with pytest.raises(TypeError):
+        del functions[1, 1]
+    assert generate_phi(3) is phi and serendipity_basis(3).functions is functions
+    assert phi[0] == {3: Fraction(-1, 2), 2: Fraction(1, 2)}
+    assert len(functions) == 12
 
 
 class TestClassification:
@@ -235,7 +257,7 @@ def test_value_node_kronecker(family, p):
     the two edge midpoints next to its corner and 0 at the other two."""
     basis = tensor_basis(p) if family == "tensor" else serendipity_basis(p)
     for slot, kind in classify_dofs(basis):
-        poly = Poly.of(basis.entry(*slot))
+        poly = Poly.of(basis.functions[slot])
         if kind.kind == "vertex":
             for corner in CORNERS:
                 assert poly(*corner) == (1 if corner == kind.corner else 0)
@@ -256,7 +278,7 @@ def test_derivative_duality(family, p):
     an edge midpoint, k >= 1) is 1 on its own function and 0 on every other
     function of the basis, exactly."""
     basis = reference_basis(family, p)
-    polys = {slot: Poly.of(basis.entry(*slot)) for slot in basis.nonzero_slots()}
+    polys = {slot: Poly.of(f) for slot, f in basis.functions.items()}
     worst = Fraction(0)
     for slot, kind in classify_dofs(basis):
         if kind.kind != "edge" or kind.k == 0:
