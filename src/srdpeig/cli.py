@@ -101,7 +101,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     rows = spectrum_report(args.bc, args.p, args.n, args.count)
-    families = list(rows[0].computed) if rows else []
+    families = list(rows[0].computed)
     header = "index  exact" + "".join(f"  {f}" for f in families)
     print(header)
     for row in rows:

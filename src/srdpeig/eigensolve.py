@@ -1,16 +1,15 @@
 """Symmetric-definite generalized eigensolver L v = lambda M v.
 
-A solve returns one of two results.  With no target, the pencil is
-densified and handed to one LAPACK call, `scipy.linalg.eigh(L, M)`, for
-the full spectrum, values only; spectrum tables and the oracle tests use
-it.  With a target, the `K` eigenpairs nearest it, vectors included, are
-found (ties break toward the smaller eigenvalue, as in `select_near`) by
-one of three paths.  The rule reads only the system: a system that carries
-a `LineFactor` (a tensor system on the unit square) is separable; any other
-takes the dense path up to `DENSE_MAX_DOFS` DOFs and shift-invert above.
-Nothing else selects a path, and `DENSE_MAX_DOFS` does not apply to a
-separable system.
+Every solve returns checked eigenpairs in one shape, `EigenResult`, from one
+of three paths.  The rule reads only the target and the system: a targeted
+solve of a system that carries a `LineFactor` (a tensor system on the unit
+square) is separable; a targeted solve of any other system of more than
+`DENSE_MAX_DOFS` DOFs is shift-invert; every other solve, and every solve
+without a target, is dense.  Nothing else selects a path, and
+`DENSE_MAX_DOFS` does not apply to a separable system.
 
+* Dense: one `eigh(L, M)` call of the densified pencil gives every
+  eigenpair, and every one is returned.
 * Separable: the system is the Kronecker square of its 1D pencil (S1, M1)
   up to a DOF permutation (`assembly` module docstring), so its eigenpairs
   are (mu_a + mu_b, u_a x u_b) for the eigenpairs (mu, u) of (S1, M1) --
@@ -19,8 +18,6 @@ separable system.
   N p + 1 DOFs gives every mu; the `K` sums nearest the target give the
   vectors U[ix, a] U[iy, b] on the system's DOFs.  No sparse factorization
   and no Lanczos iteration run.
-* Dense: at most `DENSE_MAX_DOFS` DOFs: one `eigh(L, M)` call of the
-  densified pencil, whose `K` pairs nearest the target are kept.
 * Shift-invert: more than `DENSE_MAX_DOFS` DOFs: the `K`
   eigenpairs nearest the target come from shift-invert Lanczos about it
   (ARPACK through `scipy.sparse.linalg.eigsh` with `sigma=target`) on the
@@ -52,19 +49,20 @@ at 225; square Dirichlet serendipity at 2 pi^2, 5.9-6.2 against 9.3-10.7 at
 makes 21 to 37 shift-invert solves and 62 to 110 M-products even at 45 to
 121 DOFs.
 
-All three targeted paths end in one `_finish` on the original, unscaled,
-assembled pencil: each pair must have a positive M-norm, its eigenvalue is
-the Rayleigh quotient v^T L v / v^T M v of its vector (not the Ritz or
-LAPACK value), and its backward error ||L v - lambda M v||_1 /
+All three paths end in one `_finish` on the original, unscaled, assembled
+pencil: each pair must have a positive M-norm, its eigenvalue is the
+Rayleigh quotient v^T L v / v^T M v of its vector (not the Ritz or LAPACK
+value), and its backward error ||L v - lambda M v||_1 /
 ((||L||_1 + |lambda| ||M||_1) ||v||_1) is recorded in the result.  The
 matrix 1-norms are exact (the largest absolute column sum of the sparse
 matrix), not estimates.
-The accuracy gate sits at selection: `select_near` raises when a pair it
-returns has a backward error above `BACKWARD_ERROR_TOL`.  The far members
-of a targeted window are not gated.  Shift-invert converges the values
-1/(lambda - target) relative to the largest one, so when the target sits
-very close to an eigenvalue, a far pair can lose digits that the selected
-pairs keep.  A system of at most `K` DOFs returns all its pairs.
+The accuracy gate, `check_backward_error`, raises when a pair has a
+backward error above `BACKWARD_ERROR_TOL`.  `select_near` applies it to the
+pair it returns and `studies.spectrum_report` to the pairs it prints; no
+other pair is gated.  Shift-invert converges the values 1/(lambda - target)
+relative to the largest one, so when the target sits very close to an
+eigenvalue, a far pair of the window can lose digits that the selected
+pairs keep.
 
 The mass check is full on the dense and separable paths and partial on the
 shift-invert path.  The dense path's Cholesky factorization of M checks M in
@@ -97,12 +95,12 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .assembly import GlobalSystem
 
-#: Eigenpairs a targeted solve returns: a double eigenvalue plus one neighbour.
+#: Pairs of a separable or shift-invert window: a double eigenvalue and a neighbour.
 K = 3
 #: Largest system without a `LineFactor` that a targeted solve hands to the
 #: dense path (module docstring).
 DENSE_MAX_DOFS = 200
-#: Largest backward error a selected eigenpair may have to be accepted.
+#: Largest backward error an eigenpair a caller reads may have to be accepted.
 BACKWARD_ERROR_TOL = 1e-8
 
 
@@ -116,7 +114,7 @@ class InsufficientSpectrum(ValueError):
 
 
 class SolveNotConverged(RuntimeError):
-    """The targeted solve did not converge, or a selected pair is inaccurate."""
+    """Shift-invert did not converge, or a pair a caller reads is inaccurate."""
 
 
 class SingularShift(RuntimeError):
@@ -126,56 +124,52 @@ class SingularShift(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Ascending eigenvalues and the system size, in one of two shapes.
+    """Checked eigenpairs of an n-DOF pencil, ascending.
 
-    A full spectrum has `target` None and neither vectors nor backward
-    errors.  A targeted window holds the pairs nearest `target`:
     `eigenvectors[:, k]` is the vector of eigenvalue k, checked by
-    `_finish`, and `backward_error[k]` its backward error.  An empty system
-    gives an empty result with no vectors.
+    `_finish`, and `backward_error[k]` its backward error.  `target` is the
+    solve's target, None for an untargeted solve.  An empty system gives
+    no pairs and vectors of shape (0, 0).
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-    ndofs: int = 0
-    target: float | None = None
-    backward_error: np.ndarray | None = None
+    eigenvectors: np.ndarray
+    backward_error: np.ndarray
+    target: float | None
+
+    @property
+    def ndofs(self) -> int:
+        return self.eigenvectors.shape[0]
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
 
 def solve_generalized(system: GlobalSystem, target: float | None = None) -> EigenResult:
-    """Eigenvalues of the assembled pencil (L, M).
+    """Checked eigenpairs of the assembled pencil (L, M).
 
-    With no target, the full spectrum from one dense `eigh` call, without
-    vectors.  With a target, the `K` eigenpairs nearest it (all of them when
-    there are at most `K`), with their n x min(n, K) vectors ordered like
-    the eigenvalues: from the 1D pencil when the system carries a
-    `LineFactor`, else from the dense call when the system has at most
-    `DENSE_MAX_DOFS` DOFs, else from sparse shift-invert.  Every targeted
-    path returns Rayleigh quotients with backward errors through one
-    `_finish` (module docstring).
+    With a target, the `K` pairs nearest it come from the 1D pencil when
+    the system carries a `LineFactor`, or from sparse shift-invert when the
+    system has more than `DENSE_MAX_DOFS` DOFs.  Otherwise, and always
+    without a target, every pair comes from one dense `eigh` call.  Each
+    path returns Rayleigh quotients, vectors and backward errors through
+    one `_finish` (module docstring).
     """
     n = system.dimension
     if n == 0:
-        return EigenResult(np.empty(0))
-    if target is None:
-        w = _eigh(system.L.toarray(), system.M.toarray(), eigvals_only=True)
-        return EigenResult(w, ndofs=n)
-    if system.factor is not None:
+        return EigenResult(np.empty(0), np.empty((0, 0)), np.empty(0), target)
+    if target is not None and system.factor is not None:
         return _solve_separable(system, target)
-    if n > max(K, DENSE_MAX_DOFS):
+    if target is not None and n > max(K, DENSE_MAX_DOFS):
         return _solve_near(system, target)
     return _solve_dense(system, target)
 
 
-def _eigh(L: np.ndarray, M: np.ndarray, eigvals_only: bool = False):
+def _eigh(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`eigh(L, M)` of the dense pencil by one LAPACK call: (eigenvalues,
-    eigenvectors), or the eigenvalues alone with `eigvals_only`; a failed
-    Cholesky factorization of M raises MassNotPD."""
+    eigenvectors); a failed Cholesky factorization of M raises MassNotPD."""
     try:
-        return eigh(L, M, eigvals_only=eigvals_only)
+        return eigh(L, M)
     except np.linalg.LinAlgError as exc:
         # M is eigh's B; its failed Cholesky reads "... of B is not positive definite"
         if "positive definite" not in str(exc):
@@ -185,11 +179,11 @@ def _eigh(L: np.ndarray, M: np.ndarray, eigvals_only: bool = False):
         ) from exc
 
 
-def _solve_dense(system: GlobalSystem, target: float) -> EigenResult:
-    """The K eigenpairs nearest the target from one dense `eigh` of the
-    pencil, checked by `_finish`."""
-    w, V = _eigh(system.L.toarray(), system.M.toarray())
-    return _finish(system.M, system.L, target, V[:, _nearest(w, target, K)])
+def _solve_dense(system: GlobalSystem, target: float | None) -> EigenResult:
+    """Every eigenpair from one dense `eigh` of the pencil, checked by
+    `_finish`."""
+    _, V = _eigh(system.L.toarray(), system.M.toarray())
+    return _finish(system.M, system.L, target, V)
 
 
 def _solve_separable(system: GlobalSystem, target: float) -> EigenResult:
@@ -264,7 +258,7 @@ def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
     return _finish(M, L, target, d[:, None] * V)
 
 
-def _finish(M, L, target: float, V: np.ndarray) -> EigenResult:
+def _finish(M, L, target: float | None, V: np.ndarray) -> EigenResult:
     """Check and finish the eigenvectors V of the unscaled pencil (L, M):
     each needs v^T M v > 0, its eigenvalue is the Rayleigh quotient
     v^T L v / v^T M v, and its backward error is recorded.  Pairs come back
@@ -279,7 +273,7 @@ def _finish(M, L, target: float, V: np.ndarray) -> EigenResult:
     scale = _norm1(L) + np.abs(w) * _norm1(M)
     eta = np.abs(residual).sum(axis=0) / (scale * np.abs(V).sum(axis=0))
     order = np.argsort(w, kind="stable")
-    return EigenResult(w[order], V[:, order], n, target, eta[order])
+    return EigenResult(w[order], V[:, order], eta[order], target)
 
 
 def _norm1(A) -> float:
@@ -290,30 +284,30 @@ def _norm1(A) -> float:
 def _nearest(w: np.ndarray, target: float, count: int) -> np.ndarray:
     """Indices of the `count` entries of w closest to the target, nearest
     first; ties in distance break toward the smaller value."""
-    w = np.asarray(w)
     return np.lexsort((w, np.abs(w - target)))[:count]
 
 
-def select_near(result: EigenResult, target: float, multiplicity: int = 1) -> list[float]:
-    """The `multiplicity` eigenvalues closest to the target.
-
-    Ties in distance break toward the smaller eigenvalue.  Returned values
-    are ascending.  Raises SolveNotConverged when a returned pair has a
-    recorded backward error above `BACKWARD_ERROR_TOL`.
-    """
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be >= 1")
-    w = result.eigenvalues
-    if len(w) < multiplicity:
-        raise InsufficientSpectrum(
-            f"requested {multiplicity} eigenvalues near {target}, have {len(w)}"
+def check_backward_error(result: EigenResult, chosen: np.ndarray | slice) -> None:
+    """Raise SolveNotConverged when a chosen pair of the result has a
+    backward error above `BACKWARD_ERROR_TOL`."""
+    eta = result.backward_error[chosen]
+    if not (eta <= BACKWARD_ERROR_TOL).all():
+        raise SolveNotConverged(
+            f"eigenpairs have backward error up to {eta.max():.3g}, above "
+            f"{BACKWARD_ERROR_TOL:g} (dimension {result.ndofs}, target {result.target})"
         )
-    chosen = _nearest(w, target, multiplicity)
-    if result.backward_error is not None:
-        eta = result.backward_error[chosen]
-        if not (eta <= BACKWARD_ERROR_TOL).all():
-            raise SolveNotConverged(
-                f"eigenpairs near {target} have backward error up to {eta.max():.3g}, "
-                f"above {BACKWARD_ERROR_TOL:g} (dimension {result.ndofs})"
-            )
-    return sorted(w[k] for k in chosen)
+
+
+def select_near(result: EigenResult, target: float) -> list[float]:
+    """The eigenvalue closest to the target, as a one-element list.
+
+    Ties in distance break toward the smaller eigenvalue.  Raises
+    InsufficientSpectrum for an empty result, and SolveNotConverged when the
+    pair fails `check_backward_error`.
+    """
+    w = result.eigenvalues
+    if len(w) == 0:
+        raise InsufficientSpectrum(f"no eigenvalue near {target}: the result is empty")
+    chosen = _nearest(w, target, 1)
+    check_backward_error(result, chosen)
+    return list(w[chosen])

@@ -27,6 +27,7 @@ from .basis2d import FAMILIES
 from .eigensolve import (
     EigenResult,
     InsufficientSpectrum,
+    check_backward_error,
     select_near,
     solve_generalized,
 )
@@ -127,8 +128,8 @@ def solve_configuration(
     N: int,
     target: float | None = None,
 ) -> EigenResult:
-    """Mesh, assemble, and solve one configuration end to end; with a
-    target, solve only for the eigenvalues nearest it."""
+    """Mesh, assemble, and solve one configuration end to end by
+    `solve_generalized`."""
     return _solve_on_mesh(build_mesh(domain, N), bc, family, p, target)
 
 
@@ -232,23 +233,19 @@ def plot_convergence(rows: list[StudyRow], path: str | Path) -> None:
 
 def exact_square_spectrum(bc: str, count: int) -> np.ndarray:
     """First `count` Laplace eigenvalues (m^2 + n^2) pi^2 of the unit square,
-    ascending with multiplicity; Neumann admits m, n = 0."""
+    ascending with multiplicity; Neumann admits m, n = 0.
+
+    They have m, n < start + count: the `count` values m^2 + start^2 with
+    m < start + count are each smaller than any with max(m, n) >= start + count.
+    """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     start = 0 if bc == "neumann" else 1
-    limit = 8
-    while True:
-        values = sorted(
-            m * m + n * n
-            for m in range(start, limit + 1)
-            for n in range(start, limit + 1)
-        )
-        safe = [v for v in values if v <= limit * limit]
-        if len(safe) >= count:
-            return np.array(safe[:count], dtype=float) * math.pi**2
-        limit *= 2
+    squares = np.arange(start, start + count) ** 2
+    values = np.sort(np.add.outer(squares, squares), axis=None)
+    return values[:count].astype(float) * math.pi**2
 
 
 @dataclass(frozen=True)
@@ -263,9 +260,9 @@ def spectrum_report(bc: str, p: int, N: int, exact_count: int) -> list[SpectrumR
     on the unit square.
 
     Raises InsufficientSpectrum when a family's system is smaller than the
-    requested number of eigenvalues.
+    requested number of eigenvalues, and SolveNotConverged when a printed
+    pair fails `check_backward_error`.
     """
-    exact = exact_square_spectrum(bc, exact_count)
     mesh = build_mesh(SQUARE, N)
     computed: dict[str, np.ndarray] = {}
     for family in FAMILIES:
@@ -275,7 +272,10 @@ def spectrum_report(bc: str, p: int, N: int, exact_count: int) -> list[SpectrumR
                 f"{family} p={p} N={N} yields {len(result)} eigenvalues, "
                 f"need {exact_count}"
             )
+        check_backward_error(result, slice(exact_count))
         computed[family] = result.eigenvalues[:exact_count]
+    # after the solves, so that a count above the system size builds no count^2 table
+    exact = exact_square_spectrum(bc, exact_count)
     return [
         SpectrumRow(k, float(exact[k]), {f: float(computed[f][k]) for f in FAMILIES})
         for k in range(exact_count)

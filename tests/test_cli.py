@@ -182,6 +182,24 @@ def test_spectrum_count_below_one_exits_nonzero(capsys, count):
     assert "count must be >= 1" in captured.err
 
 
+def test_spectrum_inaccurate_pairs_exit_nonzero(monkeypatch, capsys):
+    # the spectrum's dense eigh returns spoiled vectors: every other entry
+    # moved by 1e-4 relative, so the printed pairs fail the backward error
+    real = eigensolve.eigh
+
+    def perturbed(*args, **kwargs):
+        w, V = real(*args, **kwargs)
+        V = V.copy()
+        V[::2] *= 1 + 1e-4
+        return w, V
+
+    monkeypatch.setattr(eigensolve, "eigh", perturbed)
+    assert main(["spectrum", "--p", "3", "--n", "3", "--count", "12", "--bc", "dirichlet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "backward error" in captured.err
+
+
 def test_mesh_dump(capsys):
     assert main(["mesh", "--domain", "lshape", "--n", "1"]) == 0
     out = capsys.readouterr().out

@@ -26,6 +26,7 @@ from srdpeig.eigensolve import (
     MassNotPD,
     SingularShift,
     SolveNotConverged,
+    check_backward_error,
     select_near,
     solve_generalized,
 )
@@ -64,6 +65,24 @@ def shift_invert(monkeypatch):
     `LineFactor` to shift-invert.  Tests that reach this path with a tensor
     system on the square solve it without its factor (`general`)."""
     monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
+
+
+def nearest(result: EigenResult, target: float, count: int = K) -> np.ndarray:
+    """Ascending indices of the `count` eigenvalues of a result nearest the
+    target, whose pairs must pass the accuracy gate; ties in distance go to
+    the smaller eigenvalue."""
+    distance = np.abs(result.eigenvalues - target)
+    chosen = np.sort(np.argsort(distance, kind="stable")[:count])
+    check_backward_error(result, chosen)
+    return chosen
+
+
+def values_result(values, backward_error=None) -> EigenResult:
+    """A result with the given eigenvalues, unit vectors and, unless given,
+    zero backward errors."""
+    w = np.array(values, dtype=float)
+    eta = np.zeros(w.size) if backward_error is None else np.array(backward_error)
+    return EigenResult(w, np.eye(w.size), eta, None)
 
 
 def spoil(V: np.ndarray, column: int | slice = slice(None)) -> np.ndarray:
@@ -105,7 +124,9 @@ class TestSolveGeneralized:
 
     def test_empty_system_passthrough(self):
         system = synthetic_system(np.zeros((0, 0)), np.zeros((0, 0)))
-        assert len(solve_generalized(system)) == 0
+        result = solve_generalized(system)
+        assert len(result) == result.ndofs == 0
+        assert result.eigenvectors.shape == (0, 0) and result.backward_error.shape == (0,)
 
     def test_mass_not_pd(self):
         L = np.eye(2)
@@ -113,11 +134,18 @@ class TestSolveGeneralized:
         with pytest.raises(MassNotPD):
             solve_generalized(synthetic_system(L, M))
 
-    def test_full_spectrum_has_no_vectors(self):
+    def test_full_spectrum_carries_checked_vectors(self):
+        # untargeted solves take the dense path, even with a LineFactor
         system = assembled("square", "dirichlet", "tensor", 2, 2)
+        assert system.factor is not None
         result = solve_generalized(system)
-        assert len(result) == system.dimension
-        assert result.eigenvectors is None and result.backward_error is None
+        n = system.dimension
+        assert len(result) == result.ndofs == n and result.target is None
+        assert result.eigenvectors.shape == (n, n)
+        V = result.eigenvectors
+        residual = system.L @ V - (system.M @ V) * result.eigenvalues
+        assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
+        assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
 
     def test_vectors_satisfy_pencil(self):
         system = assembled("square", "dirichlet", "tensor", 2, 2)
@@ -141,7 +169,8 @@ class TestSolveGeneralized:
         ids=["separable", "dense", "shift-invert", "separable-one-dof", "dense-one-dof"],
     )
     def test_targeted_result_carries_checked_vectors(self, request, path, bc, p, N):
-        # K vectors, or all n when n <= K, in the order of the eigenvalues
+        # all n vectors on the dense path, else K, or all n when n <= K; in
+        # the order of the eigenvalues
         if path == "shift-invert":
             request.getfixturevalue("shift_invert")
         build = assembled if path == "separable" else general
@@ -149,7 +178,7 @@ class TestSolveGeneralized:
         result = solve_generalized(system, target=FIVE_PI_SQ)
         n = system.dimension
         V = result.eigenvectors
-        assert V.shape == (n, min(K, n))
+        assert V.shape == (n, n if path == "dense" else min(K, n))
         residual = system.L @ V - (system.M @ V) * result.eigenvalues
         assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
         assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
@@ -168,7 +197,7 @@ class TestTargetedSolve:
         dense = solve_configuration("lshape", "neumann", family, p, N)
         assert window.target == target and dense.target is None
         assert len(window) == K and window.ndofs == dense.ndofs
-        expected = np.array(select_near(dense, target, multiplicity=K))
+        expected = dense.eigenvalues[nearest(dense, target)]
         scale = np.maximum(np.abs(expected), target)
         assert (np.abs(window.eigenvalues - expected) <= 1e-10 * scale).all()
 
@@ -177,8 +206,8 @@ class TestTargetedSolve:
         system = general("square", "dirichlet", family, 3, 3)
         window = solve_generalized(system, target=FIVE_PI_SQ)
         dense = solve_generalized(system)
-        ours = select_near(window, FIVE_PI_SQ, multiplicity=2)
-        theirs = select_near(dense, FIVE_PI_SQ, multiplicity=2)
+        ours = window.eigenvalues[nearest(window, FIVE_PI_SQ, 2)]
+        theirs = dense.eigenvalues[nearest(dense, FIVE_PI_SQ, 2)]
         assert ours == pytest.approx(theirs, rel=1e-10, abs=0)
         assert abs(ours[1] - ours[0]) < 1e-9 * ours[0]
 
@@ -309,8 +338,12 @@ class TestTargetedSolve:
         system = synthetic_system(L, np.eye(n))
         window = solve_generalized(system, target=2.0)
         dense = solve_generalized(system)
-        expected = np.array(select_near(dense, 2.0, multiplicity=K))
-        assert window.eigenvalues == pytest.approx(expected, rel=1e-12, abs=0)
+        # the spectrum 2 - 2 cos(k pi / 11), k = 1..10, is symmetric about the
+        # target, so its third-nearest member is an exact tie (k = 4 and 7)
+        # that rounding breaks either way
+        w = dense.eigenvalues
+        windows = (w[3 : 3 + K], w[4 : 4 + K])
+        assert any(window.eigenvalues == pytest.approx(x, rel=1e-12, abs=0) for x in windows)
         V = window.eigenvectors
         residual = L @ V - V * window.eigenvalues
         assert np.abs(residual).max() < 1e-12
@@ -380,31 +413,50 @@ class TestTargetedSolve:
             solve_generalized(system, target=TWO_PI_SQ)
 
 
-class TestDenseWindow:
-    """Targeted solves of at most DENSE_MAX_DOFS DOFs: one LAPACK call,
-    finished and gated like shift-invert."""
+DENSE_CASES = pytest.mark.parametrize(
+    "domain, bc, family, p, N, preset",
+    [
+        ("square", "dirichlet", "tensor", 3, 3, "five_pi_sq"),
+        ("square", "dirichlet", "serendipity", 3, 3, "five_pi_sq"),
+        ("square", "dirichlet", "serendipity", 6, 2, "two_pi_sq"),
+        ("lshape", "neumann", "tensor", 3, 2, "lshape_neumann_1"),
+        ("lshape", "neumann", "serendipity", 5, 1, "lshape_neumann_4"),
+    ],
+)
 
-    @pytest.mark.parametrize(
-        "domain, bc, family, p, N, preset",
-        [
-            ("square", "dirichlet", "tensor", 3, 3, "five_pi_sq"),
-            ("square", "dirichlet", "serendipity", 3, 3, "five_pi_sq"),
-            ("square", "dirichlet", "serendipity", 6, 2, "two_pi_sq"),
-            ("lshape", "neumann", "tensor", 3, 2, "lshape_neumann_1"),
-            ("lshape", "neumann", "serendipity", 5, 1, "lshape_neumann_4"),
-        ],
-    )
+
+class TestDenseWindow:
+    """Targeted solves of at most DENSE_MAX_DOFS DOFs: one LAPACK call whose
+    every pair is finished and checked, as the full spectrum's are."""
+
+    @DENSE_CASES
     def test_matches_shift_invert(self, monkeypatch, domain, bc, family, p, N, preset):
+        # the shift-invert window against the K nearest pairs of the dense result
         target = TARGET_PRESETS[preset]
         system = general(domain, bc, family, p, N)
-        window = solve_generalized(system, target=target)
-        assert K < window.ndofs <= eigensolve.DENSE_MAX_DOFS
+        dense = solve_generalized(system, target=target)
+        assert K < len(dense) == dense.ndofs <= eigensolve.DENSE_MAX_DOFS
         monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
         forced = solve_generalized(system, target=target)
-        assert window.target == forced.target == target
+        assert dense.target == forced.target == target
+        expected = dense.eigenvalues[nearest(dense, target)]
         scale = np.maximum(np.abs(forced.eigenvalues), target)
-        assert (np.abs(window.eigenvalues - forced.eigenvalues) <= 1e-10 * scale).all()
-        assert (window.backward_error <= BACKWARD_ERROR_TOL).all()
+        assert (np.abs(expected - forced.eigenvalues) <= 1e-10 * scale).all()
+        assert (dense.backward_error <= BACKWARD_ERROR_TOL).all()
+
+    @DENSE_CASES
+    def test_targeted_equals_untargeted(self, domain, bc, family, p, N, preset):
+        # the target only labels a dense result; select_near on it picks,
+        # bit for bit, what a K-pair window of the same eigh call gives
+        target = TARGET_PRESETS[preset]
+        system = general(domain, bc, family, p, N)
+        targeted, full = solve_generalized(system, target=target), solve_generalized(system)
+        for field in ("eigenvalues", "eigenvectors", "backward_error"):
+            assert np.array_equal(getattr(targeted, field), getattr(full, field))
+        w, V = scipy.linalg.eigh(system.L.toarray(), system.M.toarray())
+        window_columns = np.lexsort((w, np.abs(w - target)))[:K]
+        window = eigensolve._finish(system.M, system.L, target, V[:, window_columns])
+        assert select_near(targeted, target) == select_near(window, target)
 
     def test_gate_fires_when_eigh_is_perturbed(self, monkeypatch):
         real = eigensolve.eigh
@@ -468,8 +520,8 @@ class TestSeparable:
         system = assembled("square", "dirichlet", "tensor", 3, 3)
         window = solve_generalized(system, target=FIVE_PI_SQ)
         dense = solve_generalized(system)
-        ours = select_near(window, FIVE_PI_SQ, multiplicity=2)
-        theirs = select_near(dense, FIVE_PI_SQ, multiplicity=2)
+        ours = window.eigenvalues[nearest(window, FIVE_PI_SQ, 2)]
+        theirs = dense.eigenvalues[nearest(dense, FIVE_PI_SQ, 2)]
         assert ours == pytest.approx(theirs, rel=1e-10, abs=0)
         assert abs(ours[1] - ours[0]) < 1e-9 * ours[0]
 
@@ -532,37 +584,40 @@ class TestRayleighQuotient:
         dm = build_dof_map(mesh, "tensor", 5)
         system = assemble(mesh, dm, reference_matrices("tensor", 5), "neumann")
         result = solve_generalized(system, target=target)
-        for k in range(K):
+        for k in nearest(result, target):
             exact = exact_rayleigh_quotient(system, result.eigenvectors[:, k])
             assert abs(result.eigenvalues[k] - exact) <= 1e-14 * max(abs(exact), target)
         if threshold:
             lapack = scipy.linalg.eigh(system.L.toarray(), system.M.toarray())[0]
-            nearest = select_near(result, target)[0]
-            k = list(result.eigenvalues).index(nearest)
+            k = nearest(result, target, 1)[0]
             exact = exact_rayleigh_quotient(system, result.eigenvectors[:, k])
-            assert abs(select_near(EigenResult(lapack), target)[0] - exact) > 1e-14 * exact
+            lapack_nearest = lapack[np.argmin(np.abs(lapack - target))]
+            assert abs(lapack_nearest - exact) > 1e-14 * exact
 
 
 class TestSelectNear:
     def test_nearest(self):
-        result = EigenResult(np.array([0.0, 9.9, 19.8, 19.9]))
+        result = values_result([0.0, 9.9, 19.8, 19.9])
         assert select_near(result, TWO_PI_SQ) == [19.8]
 
     def test_single_candidate(self):
         result = solve_configuration("square", "dirichlet", "tensor", 1, 2)
         assert select_near(result, TWO_PI_SQ) == [24.0]
 
-    def test_multiplicity_and_ascending(self):
-        result = EigenResult(np.array([1.0, 5.0, 9.0, 9.5]))
-        assert select_near(result, 9.2, multiplicity=2) == [9.0, 9.5]
+    def test_gate_reads_the_selected_pair_only(self):
+        result = values_result([1.0, 5.0, 9.0, 9.5], [np.nan, 1e-7, 0.0, 0.0])
+        assert select_near(result, 9.2) == [9.0]
+        for target in (1.0, 5.0):
+            with pytest.raises(SolveNotConverged, match="backward error"):
+                select_near(result, target)
 
     def test_tie_breaks_to_smaller(self):
-        result = EigenResult(np.array([1.0, 3.0]))
+        result = values_result([1.0, 3.0])
         assert select_near(result, 2.0) == [1.0]
 
     def test_insufficient(self):
         with pytest.raises(InsufficientSpectrum):
-            select_near(EigenResult(np.array([1.0])), 1.0, multiplicity=2)
+            select_near(values_result([]), 1.0)
 
     def test_lshape_benchmark_nearest_improves(self):
         target = 1.4756218239
