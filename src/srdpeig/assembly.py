@@ -243,7 +243,8 @@ class GlobalSystem:
 
     `free[i]` maps row/column i back to the DofMap's global index.  An
     assembled M and L share one index structure (`indices`, `indptr`), so
-    neither may be changed in place.  A tensor system on the unit square is
+    neither may be changed in place; the solvers of `eigensolve` read M and
+    L and never change them.  A tensor system on the unit square is
     the Kronecker square of a 1D pencil up to a DOF permutation, under
     either boundary condition (Dirichlet keeps exactly the products of free
     1D DOFs); `factor` then holds that pencil, and it is None otherwise.

@@ -22,13 +22,15 @@ without a target, is dense.  Nothing else selects a path, and
   eigenpairs nearest the target come from shift-invert Lanczos about it
   (ARPACK through `scipy.sparse.linalg.eigsh` with `sigma=target`) on the
   sparse matrices.  A study point needs only the eigenvalue nearest its
-  target, so nothing else is computed.  The solve works on one pattern for
-  M and L: the union of theirs, less the positions where both are exactly
-  0.  At p = 6 the parity zeros of the 1D Gram integrals are 26 to 48% of
-  the assembled entries; leaving them out changes no float sum, so the
-  values are bit for bit those over the assembled patterns.  The pencil is
-  first balanced by the diagonal congruence D = 2^(-round(log2 |a_ii| / 2))
-  of a = L - target * M (1 where a_ii = 0).  Powers of two scale exactly in floating point, so
+  target, so nothing else is computed.  The shifted matrix
+  a = L - target * M is scipy's sparse difference of the assembled
+  matrices, which stores no entry that comes out exactly 0, and the mass
+  matrix ARPACK multiplies by drops its exact zeros too.  At p = 6 the
+  parity zeros of the 1D Gram integrals are 26 to 48% of the assembled
+  entries; leaving them out changes no float sum, so the values are bit for
+  bit those over the assembled patterns.  The pencil is first balanced by
+  the diagonal congruence D = 2^(-round(log2 |a_ii| / 2)) (1 where
+  a_ii = 0).  Powers of two scale exactly in floating point, so
   (D L D, D M D) has the same eigenvalues, with eigenvectors D^-1 v; it
   evens out the unscaled derivative DOFs, whose loss of pivots otherwise
   fills the factors.  D a D is factored once by SuperLU in the symmetric
@@ -89,7 +91,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
@@ -183,7 +184,7 @@ def _solve_dense(system: GlobalSystem, target: float | None) -> EigenResult:
     """Every eigenpair from one dense `eigh` of the pencil, checked by
     `_finish`."""
     _, V = _eigh(system.L.toarray(), system.M.toarray())
-    return _finish(system.M, system.L, target, V)
+    return _finish(system, target, V)
 
 
 def _solve_separable(system: GlobalSystem, target: float) -> EigenResult:
@@ -199,39 +200,30 @@ def _solve_separable(system: GlobalSystem, target: float) -> EigenResult:
     sums = (mu[:, None] + mu).ravel()
     a, b = np.divmod(_nearest(sums, target, K), mu.size)
     V = U[line.ix[:, None], a] * U[line.iy[:, None], b]
-    return _finish(system.M, system.L, target, V)
+    return _finish(system, target, V)
 
 
 def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
     """The K eigenpairs nearest the target by sparse shift-invert Lanczos on
     the balanced pencil, checked on the original one."""
     n = system.dimension
-    # one (symmetric) pattern for m and l: the sparse sum keeps the union of
-    # M's and L's and drops the positions where both are exactly 0
-    pencil = system.M + 1j * system.L
-    pattern = (pencil.indices, pencil.indptr)
-    m, l = pencil.data.real.copy(), pencil.data.imag.copy()
-    M = sp.csr_matrix((m, *pattern), shape=(n, n))
-    if (M.diagonal() <= 0).any():
+    if (system.M.diagonal() <= 0).any():
         raise MassNotPD(f"mass matrix of dimension {n} has a diagonal entry <= 0")
-    a = l - target * m
-    # D = 2^(-round(log2|a_ii| / 2)) for a = L - target M, and 1 where a_ii
-    # is 0: a power-of-two congruence, exact in floating point, so D a D is
-    # bit for bit D L D - target D M D
-    shifted_diagonal = np.abs(sp.csr_matrix((a, *pattern), shape=(n, n)).diagonal())
+    # scipy stores no entry of a sparse sum that is exactly 0, so a holds
+    # no position where M and L are both 0
+    a = system.L - target * system.M
+    # D = 2^(-round(log2|a_ii| / 2)), and 1 where a_ii is 0: a power-of-two
+    # congruence, exact in floating point, so D a D is bit for bit
+    # D L D - target D M D
+    shifted_diagonal = np.abs(a.diagonal())
     exponent = np.zeros(n, dtype=int)
     nonzero = shifted_diagonal > 0
     exponent[nonzero] = -np.rint(np.log2(shifted_diagonal[nonzero]) / 2)
     d = np.ldexp(1.0, exponent)
-    # entry (i, j) of D A D is a_ij d_i d_j
-    dd = np.repeat(d, np.diff(pencil.indptr)) * d[pencil.indices]
     try:
-        # D a D is symmetric, so its CSR arrays are also its CSC arrays
-        lu = splu(
-            sp.csc_matrix((a * dd, *pattern), shape=(n, n)),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.1,
-        )
+        # D a D is symmetric, so its CSR transpose (a CSC view of the same
+        # arrays) is itself
+        lu = splu(_congruence(a, d).T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
     except RuntimeError as exc:
         # SuperLU's message when L - sigma M has an exactly zero pivot
         if "exactly singular" not in str(exc):
@@ -244,33 +236,40 @@ def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
     # ARPACK's default start vector is random; a fixed one keeps output bytes
     # identical from run to run.
     v0 = np.random.default_rng(0).standard_normal(n)
-    L = sp.csr_matrix((l, *pattern), shape=(n, n))
-    scaled_mass = sp.csr_matrix((m * dd, *pattern), shape=(n, n))
+    scaled_mass = _congruence(system.M, d)
+    scaled_mass.eliminate_zeros()
     try:
         # with sigma and OPinv, eigsh reads only the shape and dtype of its
         # first argument, so L is passed unscaled; the Ritz values are
         # replaced by Rayleigh quotients in _finish
-        _, V = eigsh(L, K, M=scaled_mass, sigma=target, v0=v0, OPinv=OPinv)
+        _, V = eigsh(system.L, K, M=scaled_mass, sigma=target, v0=v0, OPinv=OPinv)
     except ArpackNoConvergence as exc:
         raise SolveNotConverged(
             f"shift-invert solve about {target} did not converge (dimension {n})"
         ) from exc
-    return _finish(M, L, target, d[:, None] * V)
+    return _finish(system, target, d[:, None] * V)
 
 
-def _finish(M, L, target: float | None, V: np.ndarray) -> EigenResult:
-    """Check and finish the eigenvectors V of the unscaled pencil (L, M):
-    each needs v^T M v > 0, its eigenvalue is the Rayleigh quotient
+def _congruence(A, d: np.ndarray):
+    """D A D for D = diag(d), a CSR matrix on a copy of A's pattern: entry
+    (i, j) times d_i d_j.  A itself is not changed."""
+    B = A.copy()
+    B.data *= np.repeat(d, np.diff(B.indptr)) * d[B.indices]
+    return B
+
+
+def _finish(system: GlobalSystem, target: float | None, V: np.ndarray) -> EigenResult:
+    """Check and finish the eigenvectors V of the system's assembled pencil
+    (L, M): each needs v^T M v > 0, its eigenvalue is the Rayleigh quotient
     v^T L v / v^T M v, and its backward error is recorded.  Pairs come back
     ascending."""
-    n = M.shape[0]
-    LV, MV = L @ V, M @ V
+    LV, MV = system.L @ V, system.M @ V
     mass_norm = np.einsum("ij,ij->j", V, MV)
     if (mass_norm <= 0).any():
-        raise MassNotPD(f"mass matrix of dimension {n} is not positive definite")
+        raise MassNotPD(f"mass matrix of dimension {system.dimension} is not positive definite")
     w = np.einsum("ij,ij->j", V, LV) / mass_norm
     residual = LV - MV * w
-    scale = _norm1(L) + np.abs(w) * _norm1(M)
+    scale = _norm1(system.L) + np.abs(w) * _norm1(system.M)
     eta = np.abs(residual).sum(axis=0) / (scale * np.abs(V).sum(axis=0))
     order = np.argsort(w, kind="stable")
     return EigenResult(w[order], V[:, order], eta[order], target)

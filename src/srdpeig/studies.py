@@ -27,6 +27,9 @@ from .basis2d import FAMILIES
 from .eigensolve import (
     EigenResult,
     InsufficientSpectrum,
+    MassNotPD,
+    SingularShift,
+    SolveNotConverged,
     check_backward_error,
     select_near,
     solve_generalized,
@@ -145,8 +148,8 @@ def run_study(spec: StudySpec) -> list[StudyRow]:
     """Execute every sweep point for every family, in sweep order.
 
     Points whose Dirichlet system is empty are skipped and logged.  A solve
-    or a selected pair that fails its accuracy checks (SolveNotConverged,
-    MassNotPD) raises.
+    or a selected pair that fails its checks (SolveNotConverged, MassNotPD,
+    SingularShift) raises the same exception type, naming the point.
     Each distinct mesh is built once and shared by every family and order.
     """
     points = spec.points()
@@ -168,6 +171,8 @@ def run_study(spec: StudySpec) -> list[StudyRow]:
                     exc,
                 )
                 continue
+            except (SolveNotConverged, MassNotPD, SingularShift) as exc:
+                raise type(exc)(f"{family} p={p} N={N} ({spec.domain}, {spec.bc}): {exc}") from exc
             rows.append(
                 StudyRow(family, p, N, result.ndofs, lam, abs(lam - spec.target))
             )

@@ -200,6 +200,28 @@ def test_spectrum_inaccurate_pairs_exit_nonzero(monkeypatch, capsys):
     assert "backward error" in captured.err
 
 
+def test_study_failure_names_the_point(tmp_path, monkeypatch, capsys):
+    # spoiled eigh vectors fail the gate at the first point of the sweep;
+    # the error names that point, not only the solve's dimension and target
+    real = eigensolve.eigh
+
+    def perturbed(*args, **kwargs):
+        w, V = real(*args, **kwargs)
+        V = V.copy()
+        V[::2] *= 1 + 1e-4
+        return w, V
+
+    monkeypatch.setattr(eigensolve, "eigh", perturbed)
+    argv = ["study", "--domain", "lshape", "--bc", "neumann", "--family", "serendipity"]
+    argv += ["--sweep", "p", "--fixed", "1", "--target", "lshape_neumann_1"]
+    argv += ["--csv", str(tmp_path / "study.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "serendipity p=1 N=1" in captured.err
+    assert "backward error" in captured.err
+    assert not (tmp_path / "study.csv").exists()
+
+
 def test_mesh_dump(capsys):
     assert main(["mesh", "--domain", "lshape", "--n", "1"]) == 0
     out = capsys.readouterr().out

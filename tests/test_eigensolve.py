@@ -393,6 +393,25 @@ class TestTargetedSolve:
         solve_generalized(system, target=TARGET_PRESETS["lshape_neumann_1"])
         assert seen == {"shifted": 97_921, "mass": 97_921}
 
+    def test_solve_leaves_the_system_unchanged(self):
+        # M and L share one index structure, so a solver that scaled or
+        # pruned either on that structure would change both; a second solve
+        # would then see another pencil
+        system = assembled("lshape", "neumann", "tensor", 4, 3)
+        assert system.factor is None and system.dimension > eigensolve.DENSE_MAX_DOFS
+
+        def stored():
+            arrays = ("data", "indices", "indptr")
+            return [getattr(A, a).tobytes() for A in (system.M, system.L) for a in arrays]
+
+        before = stored()
+        target = TARGET_PRESETS["lshape_neumann_1"]
+        first = solve_generalized(system, target=target)
+        assert stored() == before
+        second = solve_generalized(system, target=target)
+        for field in ("eigenvalues", "eigenvectors", "backward_error"):
+            assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+
     def test_high_order_agrees_with_dense(self):
         # tensor p = 8 has cond(M_ref) ~ 4.5e21 from its unscaled
         # midpoint-derivative DOFs; the balanced pencil keeps the targeted
@@ -455,7 +474,7 @@ class TestDenseWindow:
             assert np.array_equal(getattr(targeted, field), getattr(full, field))
         w, V = scipy.linalg.eigh(system.L.toarray(), system.M.toarray())
         window_columns = np.lexsort((w, np.abs(w - target)))[:K]
-        window = eigensolve._finish(system.M, system.L, target, V[:, window_columns])
+        window = eigensolve._finish(system, target, V[:, window_columns])
         assert select_near(targeted, target) == select_near(window, target)
 
     def test_gate_fires_when_eigh_is_perturbed(self, monkeypatch):
