@@ -78,14 +78,6 @@ class LocalMatrices:
 
     Rows/columns follow the slots of `basis2d.slot_factors`, in the grid
     order it fixes; they are the slots of the basis's `functions`.
-
-    For the tensor family, `line` holds the integer 1D tables (G, S, D) of
-    `_line_grams` for the order-p functions phi_1 .. phi_(p+1): int phi_a
-    phi_b = G[a][b] / D and int phi_a' phi_b' = S[a][b] / D over [-1, 1].
-    The reference matrices are then the Kronecker products (G x G) / D^2
-    and (S x G + G x S) / D^2, which `assemble` uses to attach a
-    `LineFactor` on the square (module docstring).  It is None for
-    serendipity, whose basis is not a single product table.
     """
 
     family: str
@@ -93,7 +85,6 @@ class LocalMatrices:
     slots: tuple[tuple[int, int], ...]
     mass_ref: tuple[tuple[Fraction, ...], ...]
     stiffness_ref: tuple[tuple[Fraction, ...], ...]
-    line: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int] | None = None
 
     @property
     def n(self) -> int:
@@ -186,12 +177,7 @@ def reference_matrices(family: str, p: int) -> LocalMatrices:
                     s_rc += s1 * s2 * (sx1[x2] * gy + gx * sy1[y2])
             mass[r][c] = mass[c][r] = Fraction(m_rc, D * D)
             stiff[r][c] = stiff[c][r] = Fraction(s_rc, D * D)
-    # the tensor family reads the one order p, so index[p, a] = a - 1 and the
-    # tables are those of phi_1 .. phi_(p+1) in order
-    line = (tuple(map(tuple, gram)), tuple(map(tuple, slope)), D) if family == TENSOR else None
-    return LocalMatrices(
-        family, p, slots, tuple(map(tuple, mass)), tuple(map(tuple, stiff)), line
-    )
+    return LocalMatrices(family, p, slots, tuple(map(tuple, mass)), tuple(map(tuple, stiff)))
 
 
 def scale_to_element(
@@ -241,18 +227,17 @@ class LineFactor:
 class GlobalSystem:
     """Assembled symmetric sparse pencil restricted to free DOFs.
 
-    `free[i]` maps row/column i back to the DofMap's global index.  An
-    assembled M and L share one index structure (`indices`, `indptr`), so
-    neither may be changed in place; the solvers of `eigensolve` read M and
-    L and never change them.  A tensor system on the unit square is
-    the Kronecker square of a 1D pencil up to a DOF permutation, under
-    either boundary condition (Dirichlet keeps exactly the products of free
-    1D DOFs); `factor` then holds that pencil, and it is None otherwise.
+    An assembled M and L share one index structure (`indices`, `indptr`),
+    so neither may be changed in place: `assemble` makes their arrays, and
+    those of the `LineFactor`, read-only, and an in-place change raises.
+    A tensor system on the unit square is the Kronecker square of a 1D
+    pencil up to a DOF permutation, under either boundary condition
+    (Dirichlet keeps exactly the products of free 1D DOFs); `factor` then
+    holds that pencil, and it is None otherwise.
     """
 
     M: sp.csr_matrix
     L: sp.csr_matrix
-    free: np.ndarray
     factor: LineFactor | None = None
 
     @property
@@ -266,7 +251,8 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
     Dirichlet removes every boundary DOF (values and edge derivatives
     alike); Neumann leaves the system untouched.  M and L come from one
     COO to CSR conversion on one pattern (module docstring).  A tensor
-    system on the square also gets its `LineFactor`.
+    system on the square also gets its `LineFactor`.  Every array of the
+    result is read-only.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -283,7 +269,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
                 f"({dofmap.family}, p={dofmap.p}, N={mesh.N}, {mesh.domain})"
             )
     factor = None
-    if lm.line is not None and mesh.domain == SQUARE:
+    if lm.family == TENSOR and mesh.domain == SQUARE:
         factor = _line_factor(mesh, dofs, free, lm, bc)
     if bc == DIRICHLET:
         position = np.full(dofmap.total, -1, dtype=np.int32)
@@ -308,7 +294,12 @@ def assemble(mesh: Mesh, dofmap: DofMap, lm: LocalMatrices, bc: str) -> GlobalSy
     pattern = (both.indices.copy(), both.indptr)
     M = sp.csr_matrix((np.ascontiguousarray(both.data.real), *pattern), shape=(size, size))
     L = sp.csr_matrix((np.ascontiguousarray(both.data.imag), *pattern), shape=(size, size))
-    return GlobalSystem(M, L, free, factor)
+    frozen = [M.data, L.data, *pattern]
+    if factor is not None:
+        frozen += [factor.mass, factor.stiffness, factor.ix, factor.iy]
+    for array in frozen:
+        array.flags.writeable = False
+    return GlobalSystem(M, L, factor)
 
 
 def _line_factor(
@@ -319,11 +310,13 @@ def _line_factor(
 
     1D function i of cell c is DOF c p + i, so local slot (i, j) of the
     element at cell (cx, cy), 1-based, is the product of 1D DOFs
-    cx p + i - 1 and cy p + j - 1.  Each entry of the 1D element matrices
-    is rounded once from the integer tables: (h/2) G / D and (2/h) S / D.
+    cx p + i - 1 and cy p + j - 1.  The integer 1D tables (G, S, D) are
+    `_line_grams({p})`, whose rows are phi_1 .. phi_(p+1) in order, and
+    each entry of the 1D element matrices is rounded once from them:
+    (h/2) G / D and (2/h) S / D.
     """
     p, N = lm.p, mesh.N
-    gram, slope, D = lm.line
+    _, gram, slope, D = _line_grams({p})
     half = mesh.h / 2
     fn, fd = half.numerator, half.denominator
     mass_el = np.array([[(g * fn) / (D * fd) for g in row] for row in gram])

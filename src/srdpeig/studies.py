@@ -64,8 +64,6 @@ TARGET_PRESETS: dict[str, float] = {
 
 def resolve_target(target: str | float) -> float:
     """Interpret a target as a preset name or a float literal."""
-    if isinstance(target, (int, float)):
-        return float(target)
     if target in TARGET_PRESETS:
         return TARGET_PRESETS[target]
     try:
@@ -224,13 +222,7 @@ def plot_convergence(rows: list[StudyRow], path: str | Path) -> None:
     for r in rows:
         err = max(r.error, ERROR_FLOOR)
         series.setdefault(r.family, []).append((float(r.ndofs), math.log10(err)))
-    line_chart(
-        series,
-        path,
-        xlabel="free degrees of freedom",
-        ylabel="log10 |eigenvalue error|",
-        title="eigenvalue error vs degrees of freedom",
-    )
+    line_chart(series, path)
 
 
 # -- exact spectra and spectrum tables ---------------------------------------

@@ -16,11 +16,16 @@ MARGIN_R = 160
 MARGIN_T = 40
 MARGIN_B = 55
 
+TITLE = "eigenvalue error vs degrees of freedom"
+XLABEL = "free degrees of freedom"
+YLABEL = "log10 |eigenvalue error|"
+TICKS = 5  # target tick count per axis
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / TICKS
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -32,22 +37,16 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out
 
 
-def line_chart(
-    series: dict[str, list[tuple[float, float]]],
-    path,
-    xlabel: str,
-    ylabel: str,
-    title: str,
-) -> None:
-    """Write an SVG chart with one polyline + round markers per series.
+def line_chart(series: dict[str, list[tuple[float, float]]], path) -> None:
+    """Write the convergence chart: one polyline + round markers per series,
+    under `TITLE`, with axes labelled `XLABEL` and `YLABEL`.
 
     Series names are element families, whose `_COLORS` entry draws them.
     Coordinates are used as given (apply any log transform beforehand).
-    Series with a single point get a marker but no polyline.
+    There must be at least one point.  Series with a single point get a
+    marker but no polyline.
     """
     points = [pt for pts in series.values() for pt in pts]
-    if not points:
-        raise ValueError("nothing to plot")
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
     x_lo, x_hi = min(xs), max(xs)
@@ -75,7 +74,7 @@ def line_chart(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.2f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{TITLE}</text>',
     ]
     # axes
     x0, y0 = MARGIN_L, MARGIN_T + plot_h
@@ -100,12 +99,12 @@ def line_chart(
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="13">{XLABEL}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.2f})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.2f})">{YLABEL}</text>'
     )
 
     for k, (name, pts) in enumerate(series.items()):

@@ -21,6 +21,7 @@ from oracles import (
 )
 from srdpeig.assembly import (
     EmptySystem,
+    _line_grams,
     assemble,
     reference_matrices,
     scale_to_element,
@@ -113,7 +114,7 @@ class TestLocalMatrices:
     @pytest.mark.parametrize("p", range(1, 9))
     def test_tensor_matrices_are_kronecker_products_of_line_tables(self, p):
         lm = reference_matrices("tensor", p)
-        G, S, D = lm.line
+        _, G, S, D = _line_grams({p})
         assert len(G) == len(S) == p + 1
         for (i, j), row_m, row_s in zip(lm.slots, lm.mass_ref, lm.stiffness_ref):
             for (k, l), m, s in zip(lm.slots, row_m, row_s):
@@ -123,7 +124,10 @@ class TestLocalMatrices:
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_serendipity_has_no_line_tables(self, p):
-        assert reference_matrices("serendipity", p).line is None
+        mesh = build_mesh("square", 1)
+        dofmap = build_dof_map(mesh, "serendipity", p)
+        system = assemble(mesh, dofmap, reference_matrices("serendipity", p), "neumann")
+        assert system.factor is None
 
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
     @pytest.mark.parametrize("p", [1, 3])
@@ -184,6 +188,23 @@ class TestScaling:
         assert s1 is s2
         with pytest.raises(ValueError):
             s1[0, 0] = 0.0
+
+    def test_assembled_pencil_is_read_only(self):
+        # M and L share their index arrays, so an in-place change to one
+        # would corrupt the other; it raises instead
+        mesh = build_mesh("lshape", 2)
+        system = assemble(
+            mesh, build_dof_map(mesh, "tensor", 2), reference_matrices("tensor", 2), "dirichlet"
+        )
+        with pytest.raises(ValueError):
+            system.M.eliminate_zeros()
+        with pytest.raises(ValueError):
+            system.L.data[0] = 0.0
+        mesh = build_mesh("square", 2)
+        line = assemble(
+            mesh, build_dof_map(mesh, "tensor", 2), reference_matrices("tensor", 2), "neumann"
+        ).factor
+        assert not any(a.flags.writeable for a in (line.mass, line.stiffness, line.ix, line.iy))
 
 
 def two_conversion_assembly(mesh, dofmap, lm, bc):

@@ -44,8 +44,7 @@ FIVE_PI_SQ = 5 * math.pi**2
 
 
 def synthetic_system(L: np.ndarray, M: np.ndarray) -> GlobalSystem:
-    n = L.shape[0]
-    return GlobalSystem(sp.csr_matrix(M), sp.csr_matrix(L), np.arange(n))
+    return GlobalSystem(sp.csr_matrix(M), sp.csr_matrix(L))
 
 
 def assembled(domain: str, bc: str, family: str, p: int, N: int) -> GlobalSystem:
@@ -365,7 +364,7 @@ class TestTargetedSolve:
         assert M.nnz < system.M.nnz and L.nnz < system.L.nnz
         target = TARGET_PRESETS["lshape_neumann_1"]
         expected = solve_generalized(system, target=target)
-        for pencil in (GlobalSystem(M, system.L, system.free), GlobalSystem(M, L, system.free)):
+        for pencil in (GlobalSystem(M, system.L), GlobalSystem(M, L)):
             window = solve_generalized(pencil, target=target)
             assert np.array_equal(window.eigenvalues, expected.eigenvalues)
             assert np.array_equal(window.backward_error, expected.backward_error)
@@ -702,9 +701,7 @@ class TestInvariances:
         P = sp.coo_matrix(
             (np.ones(len(perm)), (np.arange(len(perm)), perm))
         ).tocsr()
-        permuted = GlobalSystem(
-            P @ system.M @ P.T, P @ system.L @ P.T, system.free
-        )
+        permuted = GlobalSystem(P @ system.M @ P.T, P @ system.L @ P.T)
         other = solve_generalized(permuted).eigenvalues
         assert np.abs((base - other) / np.maximum(np.abs(base), 1.0)).max() < 1e-10
 
@@ -717,9 +714,7 @@ class TestInvariances:
         base = solve_generalized(system).eigenvalues
         rng = np.random.default_rng(1)
         scale = sp.diags(np.exp(rng.uniform(-2, 2, system.dimension)))
-        scaled = GlobalSystem(
-            scale @ system.M @ scale, scale @ system.L @ scale, system.free
-        )
+        scaled = GlobalSystem(scale @ system.M @ scale, scale @ system.L @ scale)
         other = solve_generalized(scaled).eigenvalues
         assert np.abs((base - other) / np.maximum(np.abs(base), 1.0)).max() < 1e-9
 

@@ -207,6 +207,33 @@ class TestRunStudy:
             StudySpec("square", "neumann", ("tensor",), target, "p", 2)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 'select the k-th eigenvalue, not the eigenvalue nearest "
+    "the target': coarse rows take a pi^2-mode value",
+)
+@pytest.mark.parametrize("p", [1, 2])
+def test_lshape_neumann_rows_are_the_sixth_eigenvalue(p):
+    # lshape_neumann_4 is the sixth Neumann eigenvalue counted with
+    # multiplicity, the zero mode included
+    spec = StudySpec(
+        domain="lshape",
+        bc="neumann",
+        families=("tensor", "serendipity"),
+        target=resolve_target("lshape_neumann_4"),
+        sweep="h",
+        fixed=p,
+    )
+    wrong = []
+    for row in run_study(spec):
+        sixth = studies.solve_configuration(
+            "lshape", "neumann", row.family, row.p, row.N
+        ).eigenvalues[5]
+        if row.lambda_h != pytest.approx(sixth, rel=1e-9):
+            wrong.append((row.family, row.N, row.lambda_h, sixth))
+    assert wrong == []
+
+
 class TestCsv:
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -286,6 +313,16 @@ class TestPlot:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             plot_convergence([], tmp_path / "never.svg")
+
+    def test_title_and_axis_labels(self, tmp_path):
+        path = tmp_path / "labels.svg"
+        plot_convergence([StudyRow("tensor", 1, 2, 9, 24.0, 4.26)], path)
+        texts = {t.text for t in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")}
+        assert {
+            "eigenvalue error vs degrees of freedom",
+            "free degrees of freedom",
+            "log10 |eigenvalue error|",
+        } <= texts
 
 
 class TestSpectrumReport:
