@@ -10,10 +10,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
+from . import studies
 from .assembly import BOUNDARY_CONDITIONS, assemble, reference_matrices, write_matrix_coo
 from .basis2d import FAMILIES, BasisArray
 from .mesh import DOMAINS, build_dof_map, build_mesh, dump_mesh_text, reference_basis
-from .studies import StudySpec, resolve_target, run_study, spectrum_report
 
 
 Terms = Mapping[tuple[int, int], Fraction]
@@ -73,19 +73,21 @@ def format_basis_records(basis: BasisArray) -> str:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     families = FAMILIES if args.family == "both" else (args.family,)
-    spec = StudySpec(
+    spec = studies.StudySpec(
         domain=args.domain,
         bc=args.bc,
         families=families,
-        target=resolve_target(args.target),
+        target=studies.resolve_target(args.target),
         sweep=args.sweep,
         fixed=args.fixed,
-        csv_path=args.csv,
-        plot_path=args.plot,
     )
-    rows = run_study(spec)
+    rows = studies.run_study(spec)
+    # through the module, so that a tracer that rebinds these attributes
+    # of `studies` (bench/tracing.py) sees the writes
+    studies.write_csv(rows, args.csv)
     print(f"wrote {len(rows)} rows to {args.csv}")
     if args.plot:
+        studies.plot_convergence(rows, args.plot)
         print(f"wrote plot to {args.plot}")
     return 0
 
@@ -100,7 +102,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    rows = spectrum_report(args.bc, args.p, args.n, args.count)
+    rows = studies.spectrum_report(args.bc, args.p, args.n, args.count)
     families = list(rows[0].computed)
     header = "index  exact" + "".join(f"  {f}" for f in families)
     print(header)

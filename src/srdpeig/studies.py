@@ -6,6 +6,11 @@ resolution (N = 1..5 at fixed order) for one or both element families and
 reports the absolute eigenvalue error against the number of free DOFs.
 Degenerate Dirichlet cases where elimination empties the system are skipped
 with a logged notice rather than failing the sweep.
+
+`run_study` returns the rows and writes nothing; `write_csv` and
+`plot_convergence` turn rows into a CSV file and an SVG chart, and
+`srdp-eig study` calls them after the study has run, so a study that raises
+leaves no file behind.
 """
 
 from __future__ import annotations
@@ -84,8 +89,6 @@ class StudySpec:
     target: float
     sweep: str  # 'p' (orders 1..6 at fixed N) or 'h' (N 1..5 at fixed p)
     fixed: int
-    csv_path: str | Path | None = None
-    plot_path: str | Path | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.target):
@@ -96,6 +99,10 @@ class StudySpec:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         if self.sweep not in ("p", "h"):
             raise ValueError("sweep must be 'p' or 'h'")
+        if not self.families:
+            raise ValueError("families must name at least one family")
+        if len(set(self.families)) != len(self.families):
+            raise ValueError(f"families repeat a family: {self.families}")
         for family in self.families:
             if family not in FAMILIES:
                 raise ValueError(f"unknown family {family!r}")
@@ -143,7 +150,8 @@ def _solve_on_mesh(
 
 
 def run_study(spec: StudySpec) -> list[StudyRow]:
-    """Execute every sweep point for every family, in sweep order.
+    """Rows of every sweep point for every family, in sweep order; no file
+    is written.
 
     Points whose Dirichlet system is empty are skipped and logged.  A solve
     or a selected pair that fails its checks (SolveNotConverged, MassNotPD,
@@ -174,10 +182,6 @@ def run_study(spec: StudySpec) -> list[StudyRow]:
             rows.append(
                 StudyRow(family, p, N, result.ndofs, lam, abs(lam - spec.target))
             )
-    if spec.csv_path is not None:
-        write_csv(rows, spec.csv_path)
-    if spec.plot_path is not None:
-        plot_convergence(rows, spec.plot_path)
     return rows
 
 
@@ -258,8 +262,11 @@ def spectrum_report(bc: str, p: int, N: int, exact_count: int) -> list[SpectrumR
 
     Raises InsufficientSpectrum when a family's system is smaller than the
     requested number of eigenvalues, and SolveNotConverged when a printed
-    pair fails `check_backward_error`.
+    pair fails `check_backward_error`.  A count below 1 raises ValueError
+    before anything is solved.
     """
+    if exact_count < 1:
+        raise ValueError("count must be >= 1")
     mesh = build_mesh(SQUARE, N)
     computed: dict[str, np.ndarray] = {}
     for family in FAMILIES:

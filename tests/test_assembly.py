@@ -122,13 +122,6 @@ class TestLocalMatrices:
                 assert m == Fraction(g_x * g_y, D * D)
                 assert s == Fraction(S[i - 1][k - 1] * g_y + g_x * S[j - 1][l - 1], D * D)
 
-    @pytest.mark.parametrize("p", range(1, 9))
-    def test_serendipity_has_no_line_tables(self, p):
-        mesh = build_mesh("square", 1)
-        dofmap = build_dof_map(mesh, "serendipity", p)
-        system = assemble(mesh, dofmap, reference_matrices("serendipity", p), "neumann")
-        assert system.factor is None
-
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
     @pytest.mark.parametrize("p", [1, 3])
     def test_mass_positive_definite(self, family, p):
@@ -347,6 +340,8 @@ class TestLineFactor:
     )
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_only_tensor_on_square_is_separable(self, domain, family, bc):
+        # assemble attaches a LineFactor by family and domain alone, so one
+        # order stands for every p
         mesh = build_mesh(domain, 2)
         system = assemble(
             mesh, build_dof_map(mesh, family, 3), reference_matrices(family, 3), bc

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import srdpeig.eigensolve as eigensolve
+import srdpeig.studies as studies
 from srdpeig.basis2d import serendipity_basis
 from srdpeig.cli import main
 from srdpeig.eigensolve import select_near
@@ -43,6 +44,33 @@ def test_study_writes_csv_and_plot(tmp_path, capsys):
     assert len(rows) == 12
     assert svg_path.exists()
     assert "wrote 12 rows" in capsys.readouterr().out
+
+
+def test_study_writes_through_the_studies_module(tmp_path, monkeypatch, capsys):
+    """`srdp-eig study` writes the CSV and the plot by calling
+    `studies.write_csv` and `studies.plot_convergence` as module attributes,
+    after `run_study` has returned its rows."""
+    calls = []
+
+    def recorder(name):
+        real = getattr(studies, name)
+
+        def record(rows, path):
+            calls.append((name, len(rows), path))
+            real(rows, path)
+
+        return record
+
+    for name in ("write_csv", "plot_convergence"):
+        monkeypatch.setattr(studies, name, recorder(name))
+    csv_path, svg_path = str(tmp_path / "s.csv"), str(tmp_path / "s.svg")
+    argv = "study --domain square --bc neumann --family serendipity --sweep p --fixed 1"
+    argv = argv.split() + ["--target", "two_pi_sq", "--csv", csv_path, "--plot", svg_path]
+    assert main(argv) == 0
+    assert calls == [("write_csv", 6, csv_path), ("plot_convergence", 6, svg_path)]
+    assert capsys.readouterr().out == (
+        f"wrote 6 rows to {csv_path}\nwrote plot to {svg_path}\n"
+    )
 
 
 def test_study_accepts_float_target(tmp_path):

@@ -210,6 +210,23 @@ class TestTargetedSolve:
         assert ours == pytest.approx(theirs, rel=1e-10, abs=0)
         assert abs(ours[1] - ours[0]) < 1e-9 * ours[0]
 
+    def test_double_eigenvalue_on_assembled_lshape(self):
+        # 532 DOFs, past DENSE_MAX_DOFS: the window about pi^2 holds both
+        # copies of the double eigenvalue and lambda_5 = 11.3895..., the two
+        # pi^2 vectors span its eigenspace, and every pair passes the gate
+        system = assembled("lshape", "neumann", "serendipity", 6, 3)
+        assert system.dimension == 532
+        target = TARGET_PRESETS["lshape_neumann_3"]
+        window = solve_generalized(system, target=target)
+        dense = solve_generalized(system)
+        expected = dense.eigenvalues[nearest(dense, target)]
+        assert expected[:2] == pytest.approx([math.pi**2] * 2, rel=1e-10)
+        assert window.eigenvalues == pytest.approx(expected, rel=1e-10, abs=0)
+        V = window.eigenvectors[:, :2]
+        gram = V.T @ (system.M @ V)
+        assert np.linalg.det(gram) > 0.5 * gram[0, 0] * gram[1, 1]
+        check_backward_error(window, slice(None))
+
     def test_vectors_satisfy_pencil(self):
         system = general("square", "dirichlet", "tensor", 2, 2)
         result = solve_generalized(system, target=TWO_PI_SQ)

@@ -1,5 +1,6 @@
 """Study driver: sweeps, CSV output, SVG plots, and spectrum tables."""
 
+import dataclasses
 import logging
 import math
 import xml.etree.ElementTree as ET
@@ -13,6 +14,7 @@ from srdpeig.eigensolve import InsufficientSpectrum, select_near, solve_generali
 from srdpeig.mesh import build_dof_map, build_mesh, dof_totals
 from srdpeig.studies import (
     CSV_HEADER,
+    P_RANGE,
     StudyRow,
     StudySpec,
     TARGET_PRESETS,
@@ -200,11 +202,25 @@ class TestRunStudy:
             StudySpec("square", "neumann", ("tensor",), 1.0, "x", 2)
         with pytest.raises(ValueError):
             StudySpec("disc", "neumann", ("tensor",), 1.0, "p", 2)
+        with pytest.raises(ValueError, match="at least one family"):
+            StudySpec("square", "neumann", (), 1.0, "p", 2)
+        with pytest.raises(ValueError, match="repeat a family"):
+            StudySpec("square", "neumann", ("tensor", "tensor"), 1.0, "p", 2)
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_rejected(self, target):
         with pytest.raises(ValueError, match=f"finite, got {target}"):
             StudySpec("square", "neumann", ("tensor",), target, "p", 2)
+
+    def test_returns_rows_and_writes_nothing(self, monkeypatch):
+        def no_file(*args):
+            raise AssertionError("run_study wrote a file")
+
+        monkeypatch.setattr(studies, "write_csv", no_file)
+        monkeypatch.setattr(studies, "plot_convergence", no_file)
+        spec = StudySpec("square", "neumann", ("serendipity",), TWO_PI_SQ, "p", 1)
+        assert len(run_study(spec)) == len(P_RANGE)
+        assert len(dataclasses.fields(StudySpec)) == 6
 
 
 @pytest.mark.xfail(
@@ -342,3 +358,13 @@ class TestSpectrumReport:
     def test_insufficient(self):
         with pytest.raises(InsufficientSpectrum):
             spectrum_report("neumann", 1, 1, 10)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected_before_solving(self, monkeypatch, count):
+        solves = []
+        monkeypatch.setattr(
+            studies, "solve_generalized", lambda *args, **kw: solves.append(args)
+        )
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            spectrum_report("neumann", 6, 5, count)
+        assert solves == []
