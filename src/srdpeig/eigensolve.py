@@ -21,23 +21,23 @@ without a target, is dense.  Nothing else selects a path, and
 * Shift-invert: more than `DENSE_MAX_DOFS` DOFs: the `K`
   eigenpairs nearest the target come from shift-invert Lanczos about it
   (ARPACK through `scipy.sparse.linalg.eigsh` with `sigma=target`) on the
-  sparse matrices.  A study point needs only the eigenvalue nearest its
+  assembled pencil.  A study point needs only the eigenvalue nearest its
   target, so nothing else is computed.  The shifted matrix
   a = L - target * M is scipy's sparse difference of the assembled
   matrices, which stores no entry that comes out exactly 0, and the mass
   matrix ARPACK multiplies by drops its exact zeros too.  At p = 6 the
   parity zeros of the 1D Gram integrals are 26 to 48% of the assembled
   entries; leaving them out changes no float sum, so the values are bit for
-  bit those over the assembled patterns.  The pencil is first balanced by
-  the diagonal congruence D = 2^(-round(log2 |a_ii| / 2)) (1 where
-  a_ii = 0).  Powers of two scale exactly in floating point, so
-  (D L D, D M D) has the same eigenvalues, with eigenvectors D^-1 v; it
-  evens out the unscaled derivative DOFs, whose loss of pivots otherwise
-  fills the factors.  D a D is factored once by SuperLU in the symmetric
-  minimum-degree order of A^T + A (`MMD_AT_PLUS_A`), keeping the diagonal
-  pivot unless it is below 0.1 of its column's largest entry, and that
-  factorization is the Lanczos operator.  A target at which a is exactly
-  singular in floating point raises `SingularShift`.
+  bit those over the assembled patterns.  Only the solve is balanced: it
+  factors D a D, D = 2^(-round(log2 |a_ii| / 2)) (1 where a_ii = 0), which
+  evens out the unscaled derivative DOFs whose loss of pivots otherwise
+  fills the factors, and applies a^-1 x = D (D a D)^-1 D x.  SuperLU
+  factors D a D once in the symmetric minimum-degree order of A^T + A
+  (`MMD_AT_PLUS_A`), keeping the diagonal pivot unless it is below 0.1 of
+  its column's largest entry.  Powers of two scale exactly, so ARPACK's
+  iterates are bit for bit D times those of (D L D, D M D), and a
+  congruence keeps the inertia of a (Ericsson & Ruhe, Math. Comp. 35,
+  1980).  A target at which a is exactly singular raises `SingularShift`.
 
 `DENSE_MAX_DOFS` = 200 lies between the sizes where the dense and
 shift-invert paths cost the same on the L-shape (160 to 170 DOFs) and on the
@@ -51,10 +51,10 @@ at 225; square Dirichlet serendipity at 2 pi^2, 5.9-6.2 against 9.3-10.7 at
 makes 21 to 37 shift-invert solves and 62 to 110 M-products even at 45 to
 121 DOFs.
 
-All three paths end in one `_finish` on the original, unscaled, assembled
-pencil: each pair must have a positive M-norm, its eigenvalue is the
-Rayleigh quotient v^T L v / v^T M v of its vector (not the Ritz or LAPACK
-value), and its backward error ||L v - lambda M v||_1 /
+All three paths pass their solver's vectors unchanged to one `_finish` on
+the assembled pencil: each pair must have a positive M-norm, its eigenvalue
+is the Rayleigh quotient v^T L v / v^T M v of its vector (not the Ritz or
+LAPACK value), and its backward error ||L v - lambda M v||_1 /
 ((||L||_1 + |lambda| ||M||_1) ||v||_1) is recorded in the result.  The
 matrix 1-norms are exact (the largest absolute column sum of the sparse
 matrix), not estimates.
@@ -205,7 +205,7 @@ def _solve_separable(system: GlobalSystem, target: float) -> EigenResult:
 
 def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
     """The K eigenpairs nearest the target by sparse shift-invert Lanczos on
-    the balanced pencil, checked on the original one."""
+    the assembled pencil, whose solve factors the balanced shifted matrix."""
     n = system.dimension
     if (system.M.diagonal() <= 0).any():
         raise MassNotPD(f"mass matrix of dimension {n} has a diagonal entry <= 0")
@@ -213,17 +213,15 @@ def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
     # no position where M and L are both 0
     a = system.L - target * system.M
     # D = 2^(-round(log2|a_ii| / 2)), and 1 where a_ii is 0: a power-of-two
-    # congruence, exact in floating point, so D a D is bit for bit
-    # D L D - target D M D
+    # congruence, exact in floating point, so a becomes D a D in place
     shifted_diagonal = np.abs(a.diagonal())
-    exponent = np.zeros(n, dtype=int)
-    nonzero = shifted_diagonal > 0
-    exponent[nonzero] = -np.rint(np.log2(shifted_diagonal[nonzero]) / 2)
-    d = np.ldexp(1.0, exponent)
+    log2 = np.log2(shifted_diagonal, out=np.zeros(n), where=shifted_diagonal > 0)
+    d = np.ldexp(1.0, -np.rint(log2 / 2).astype(int))
+    a.data *= np.repeat(d, np.diff(a.indptr)) * d[a.indices]
     try:
         # D a D is symmetric, so its CSR transpose (a CSC view of the same
         # arrays) is itself
-        lu = splu(_congruence(a, d).T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+        lu = splu(a.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
     except RuntimeError as exc:
         # SuperLU's message when L - sigma M has an exactly zero pivot
         if "exactly singular" not in str(exc):
@@ -232,30 +230,23 @@ def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
             f"shift-invert about {target} failed: L - sigma M is exactly "
             f"singular (dimension {n})"
         ) from exc
-    OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    # D (D a D)^-1 D x = a^-1 x
+    OPinv = LinearOperator((n, n), matvec=lambda x: d * lu.solve(d * x), dtype=float)
     # ARPACK's default start vector is random; a fixed one keeps output bytes
     # identical from run to run.
-    v0 = np.random.default_rng(0).standard_normal(n)
-    scaled_mass = _congruence(system.M, d)
-    scaled_mass.eliminate_zeros()
+    v0 = d * np.random.default_rng(0).standard_normal(n)
+    mass = system.M.copy()
+    mass.eliminate_zeros()
     try:
         # with sigma and OPinv, eigsh reads only the shape and dtype of its
-        # first argument, so L is passed unscaled; the Ritz values are
-        # replaced by Rayleigh quotients in _finish
-        _, V = eigsh(system.L, K, M=scaled_mass, sigma=target, v0=v0, OPinv=OPinv)
+        # first argument; the Ritz values are replaced by Rayleigh quotients
+        # in _finish
+        _, V = eigsh(system.L, K, M=mass, sigma=target, v0=v0, OPinv=OPinv)
     except ArpackNoConvergence as exc:
         raise SolveNotConverged(
             f"shift-invert solve about {target} did not converge (dimension {n})"
         ) from exc
-    return _finish(system, target, d[:, None] * V)
-
-
-def _congruence(A, d: np.ndarray):
-    """D A D for D = diag(d), a CSR matrix on a copy of A's pattern: entry
-    (i, j) times d_i d_j.  A itself is not changed."""
-    B = A.copy()
-    B.data *= np.repeat(d, np.diff(B.indptr)) * d[B.indices]
-    return B
+    return _finish(system, target, V)
 
 
 def _finish(system: GlobalSystem, target: float | None, V: np.ndarray) -> EigenResult:

@@ -203,15 +203,19 @@ def write_csv(rows: list[StudyRow], path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> list[StudyRow]:
-    """Parse a file produced by write_csv."""
+    """Parse a file produced by write_csv; a bad header or a malformed row
+    raises ValueError naming the file and its 1-based line."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected study CSV header: {header!r}")
-        for line in fh:
-            family, p, N, ndofs, lam, err = line.strip().split(",")
-            rows.append(StudyRow(family, int(p), int(N), int(ndofs), float(lam), float(err)))
+            raise ValueError(f"{path}, line 1: unexpected study CSV header: {header!r}")
+        for number, line in enumerate(fh, start=2):
+            try:
+                family, p, N, ndofs, lam, err = line.strip().split(",")
+                rows.append(StudyRow(family, int(p), int(N), int(ndofs), float(lam), float(err)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}: {line.strip()!r}") from exc
     return rows
 
 

@@ -7,7 +7,8 @@ package's bases only as plain coefficient maps; float integrals use
 Gauss quadrature, exact Gram matrices integrate whole 2D products by the
 monomial rule instead of summing the package's integer 1D cross-Gram tables,
 eigenvalues come from Sturm bisection or separation of variables instead of
-LAPACK, whole discrete spaces are rebuilt from raw monomials with pointwise
+LAPACK, L-shape eigenvalues from particular solutions about the re-entrant
+corner instead of finite elements, whole discrete spaces are rebuilt from raw monomials with pointwise
 continuity constraints, the 1D basis is checked against its defining
 functionals instead of its closed form, and exact ranks and coordinates come
 from an elimination of their own.
@@ -21,6 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
+from scipy.special import jv
 
 
 # -- exact polynomials ---------------------------------------------------------
@@ -511,3 +513,102 @@ def bruteforce_square_spectrum(family: str, p: int, N: int, bc: str) -> np.ndarr
     Mg = np.kron(np.eye(len(cells)), Mloc)
     Lg = np.kron(np.eye(len(cells)), Lloc)
     return np.sort(eigh(Z.T @ Lg @ Z, Z.T @ Mg @ Z, eigvals_only=True))
+
+
+# -- L-shape eigenvalues by the method of particular solutions ---------------
+
+
+def _corner_polar(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar coordinates (r, phi) about the re-entrant corner (1, 1) of the
+    L-shape [0, 2]^2 minus (1, 2]^2, with phi = 0 on the edge x = 1 and
+    phi = 3 pi / 2 on the edge y = 1."""
+    r = np.hypot(x - 1, y - 1)
+    phi = np.mod(np.arctan2(y - 1, x - 1) - np.pi / 2, 2 * np.pi)
+    return r, phi
+
+
+class LShapeParticularSolutions:
+    """Laplace eigenvalues of the L-shape with no finite elements in them.
+
+    Fox, Henrici & Moler (SIAM J. Numer. Anal. 4, 1967), in the form of
+    Betcke & Trefethen (SIAM Review 47, 2005): the `terms` functions
+    J_nu(sqrt(lam) r) sin(nu phi) for Dirichlet, or cos(nu phi) for Neumann,
+    with nu = 2k/3, solve -Laplace u = lam u and meet the boundary condition
+    on the two edges at the corner.  `sigma(lam)` is the smallest singular
+    value of the boundary rows of Q, from the QR factorization of the
+    expansion sampled at 3 `TERMS` points on each of the other four edges
+    (its value, or its outward normal derivative) and at 3 `TERMS` interior
+    points; it has a sharp V-shaped minimum at each eigenvalue.  The other
+    corners are right angles, so the expansion converges exponentially: 60,
+    80 and 100 terms agree to about 1e-13.
+    """
+
+    TERMS = 60
+
+    def __init__(self, bc: str):
+        self.bc = bc
+        k = np.arange(self.TERMS) if bc == "neumann" else np.arange(1, self.TERMS + 1)
+        self.nu = 2 * k / 3
+        m = 3 * self.TERMS
+        # Chebyshev points of each edge cluster toward its ends
+        t = (1 - np.cos(np.pi * (np.arange(m) + 0.5) / m)) / 2
+        zero, two = np.zeros(m), np.full(m, 2.0)
+        # the four edges away from the corner, each with its outward normal
+        self.edges = [
+            (zero, 2 * t, (-1.0, 0.0)),
+            (2 * t, zero, (0.0, -1.0)),
+            (two, t, (1.0, 0.0)),
+            (t, two, (0.0, 1.0)),
+        ]
+        xy = np.random.default_rng(0).uniform(0, 2, (4 * m, 2))
+        self.interior = xy[(xy[:, 0] <= 1) | (xy[:, 1] <= 1)][:m]
+
+    def _angular(self, phi: np.ndarray) -> np.ndarray:
+        return (np.cos if self.bc == "neumann" else np.sin)(self.nu * phi)
+
+    def sigma(self, lam: float) -> float:
+        s, nu = math.sqrt(lam), self.nu
+        rows = []
+        for x, y, (nx, ny) in self.edges:
+            r, phi = _corner_polar(x, y)
+            r, phi = r[:, None], phi[:, None]
+            J = jv(nu, s * r)
+            if self.bc == "dirichlet":
+                rows.append(J * self._angular(phi))
+                continue
+            # u_r and u_phi / r of J_nu(s r) cos(nu phi), with
+            # J'_nu(z) = J_(nu-1)(z) - nu J_nu(z) / z; the gradient's
+            # Cartesian components come from the angle theta = phi + pi / 2
+            ur = s * (jv(nu - 1, s * r) - nu * J / (s * r)) * np.cos(nu * phi)
+            ut = -nu * J * np.sin(nu * phi) / r
+            cos_t, sin_t = -np.sin(phi), np.cos(phi)
+            rows.append(nx * (ur * cos_t - ut * sin_t) + ny * (ur * sin_t + ut * cos_t))
+        boundary = np.vstack(rows)
+        r, phi = _corner_polar(self.interior[:, 0], self.interior[:, 1])
+        A = np.vstack([boundary, jv(nu, s * r[:, None]) * self._angular(phi[:, None])])
+        Q, _ = np.linalg.qr(A / np.abs(A).max(axis=0))
+        return np.linalg.svd(Q[: len(boundary)], compute_uv=False)[-1]
+
+    def eigenvalue(self, guess: float) -> float:
+        """The eigenvalue within about 3e-4 of the guess.
+
+        Each half-width of 3e-4, 3e-6 and 1e-7 in turn samples sigma at 7
+        equally spaced values about the current estimate, fits a straight
+        line to each side of the V (the sample at its tip left out) and
+        moves the estimate to where the two lines cross; a minimum at or
+        next to an end of the grid moves the grid there first.  A bounded
+        Brent search stops about 5e-8 short on a V this sharp.
+        """
+        center, points = guess, 7
+        for width in (3e-4, 3e-6, 1e-7):
+            while True:
+                grid = center + width * np.linspace(-1, 1, points)
+                values = np.array([self.sigma(g) for g in grid])
+                i = int(np.argmin(values))
+                if 2 <= i <= points - 3:
+                    break
+                center = grid[i]
+            a1, b1 = np.polyfit(grid[:i], values[:i], 1)
+            a2, b2 = np.polyfit(grid[i + 1 :], values[i + 1 :], 1)
+            center = (b2 - b1) / (a1 - a2)
+        return center

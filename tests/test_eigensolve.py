@@ -409,6 +409,30 @@ class TestTargetedSolve:
         solve_generalized(system, target=TARGET_PRESETS["lshape_neumann_1"])
         assert seen == {"shifted": 97_921, "mass": 97_921}
 
+    def test_arpack_solves_the_assembled_pencil(self, monkeypatch):
+        # the balancing lives in the factored solve only: ARPACK multiplies
+        # by the assembled M, unscaled, and its vectors reach the result as
+        # they come, reordered by eigenvalue
+        seen = {}
+        real_eigsh = eigensolve.eigsh
+
+        def eigsh(*args, **kwargs):
+            seen["mass"] = kwargs["M"]
+            w, seen["vectors"] = real_eigsh(*args, **kwargs)
+            return w, seen["vectors"]
+
+        monkeypatch.setattr(eigensolve, "eigsh", eigsh)
+        system = assembled("lshape", "neumann", "tensor", 4, 3)
+        assert system.factor is None and system.dimension > eigensolve.DENSE_MAX_DOFS
+        result = solve_generalized(system, target=TARGET_PRESETS["lshape_neumann_1"])
+        expected = system.M.copy()
+        expected.eliminate_zeros()
+        assert expected.nnz < system.M.nnz
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(seen["mass"], field), getattr(expected, field))
+        returned = sorted(v.tobytes() for v in seen["vectors"].T)
+        assert sorted(v.tobytes() for v in result.eigenvectors.T) == returned
+
     def test_solve_leaves_the_system_unchanged(self):
         # M and L share one index structure, so a solver that scaled or
         # pruned either on that structure would change both; a second solve

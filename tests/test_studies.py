@@ -1,13 +1,17 @@
 """Study driver: sweeps, CSV output, SVG plots, and spectrum tables."""
 
 import dataclasses
+import functools
 import logging
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from oracles import LShapeParticularSolutions
 import srdpeig.studies as studies
 from srdpeig.assembly import assemble, reference_matrices
 from srdpeig.eigensolve import InsufficientSpectrum, select_near, solve_generalized
@@ -72,6 +76,48 @@ class TestTargets:
             design = np.column_stack([np.ones(3), h**a, h**b])
             extrapolated = np.linalg.solve(design, computed[name])[0]
             assert abs(extrapolated - TARGET_PRESETS[name]) <= tol, (name, extrapolated)
+
+
+#: The L-shape Neumann presets: the precision each is given to, and the
+#: value of the method of particular solutions at 60, 80 and 100 terms,
+#: which agree to 1e-13.
+PARTICULAR_SOLUTIONS = {
+    "lshape_neumann_1": (1e-10, 1.4756218239724),
+    "lshape_neumann_2": (1e-11, 3.5340313667881),
+    "lshape_neumann_4": (1e-9, 11.3894793979476),
+}
+
+
+@functools.cache
+def particular_solutions(bc: str) -> LShapeParticularSolutions:
+    return LShapeParticularSolutions(bc)
+
+
+class TestParticularSolutions:
+    """The L-shape presets against an expansion about the re-entrant corner
+    with no finite elements in it; each search starts 1e-4 away."""
+
+    @pytest.mark.parametrize(
+        "name, start",
+        [("lshape_neumann_1", 1e-4), ("lshape_neumann_2", -1e-4), ("lshape_neumann_4", 1e-4)],
+    )
+    def test_neumann_preset_within_its_precision(self, name, start):
+        precision, value = PARTICULAR_SOLUTIONS[name]
+        preset = TARGET_PRESETS[name]
+        lam = particular_solutions("neumann").eigenvalue(preset + start)
+        assert abs(lam - value) <= 1e-12, lam
+        assert abs(lam - preset) <= precision, lam
+
+    @pytest.mark.parametrize(
+        "bc, exact, start",
+        [("neumann", math.pi**2, -1e-4), ("dirichlet", TWO_PI_SQ, 1e-4)],
+        ids=["neumann-pi_sq", "dirichlet-two_pi_sq"],
+    )
+    def test_exact_eigenvalue(self, bc, exact, start):
+        # cos(pi x) and cos(pi y), and sin(pi x) sin(pi y): the search
+        # finds the closed form from a loose start
+        lam = particular_solutions(bc).eigenvalue(exact + start)
+        assert abs(lam - exact) <= 1e-12 * exact, lam
 
 
 class TestExactSpectrum:
@@ -223,6 +269,50 @@ class TestRunStudy:
         assert len(dataclasses.fields(StudySpec)) == 6
 
 
+def lshape_neumann_p_rows(target: float) -> dict[int, dict[str, StudyRow]]:
+    """Rows by p = 2..6 and family of the L-shape Neumann p-sweep at N = 2."""
+    spec = StudySpec(
+        domain="lshape",
+        bc="neumann",
+        families=("tensor", "serendipity"),
+        target=target,
+        sweep="p",
+        fixed=2,
+    )
+    rows: dict[int, dict[str, StudyRow]] = {}
+    for row in run_study(spec):
+        if row.p >= 2:
+            rows.setdefault(row.p, {})[row.family] = row
+    return rows
+
+
+class TestSameApproximationFewerDofs:
+    """A discrete Neumann eigenfunction u(x) of the order-p, N-cell interval,
+    mirrored onto [0, 2], is an exact Galerkin eigenfunction u(x) * 1 of both
+    families on the L-shape: each unit column sees the 1D eigenfunction, and
+    the serendipity space holds every polynomial of degree <= p in x alone.
+    So the pi^2 rows of both families are the 1D eigenvalue mu_1, while
+    serendipity has fewer DOFs."""
+
+    def test_pi_sq_rows_are_the_1d_eigenvalue(self):
+        mesh = build_mesh("square", 2)
+        for p, by_family in lshape_neumann_p_rows(math.pi**2).items():
+            line = assemble(
+                mesh, build_dof_map(mesh, "tensor", p), reference_matrices("tensor", p), "neumann"
+            ).factor
+            mu_1 = scipy.linalg.eigh(line.stiffness, line.mass, eigvals_only=True)[1]
+            for family, row in by_family.items():
+                assert row.lambda_h == pytest.approx(mu_1, rel=1e-12, abs=0), (family, p)
+            assert by_family["serendipity"].ndofs < by_family["tensor"].ndofs
+
+    def test_two_pi_sq_rows_differ(self):
+        # cos(pi x) cos(pi y) is no function of one variable, so the
+        # families approximate it differently
+        for p, by_family in lshape_neumann_p_rows(TWO_PI_SQ).items():
+            tensor, serendipity = (by_family[f].lambda_h for f in ("tensor", "serendipity"))
+            assert abs(tensor - serendipity) > 1e-9 * tensor, p
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 'select the k-th eigenvalue, not the eigenvalue nearest "
@@ -269,6 +359,24 @@ class TestCsv:
         path = tmp_path / "rt.csv"
         write_csv(rows, path)
         assert read_csv(path) == rows
+
+    @pytest.mark.parametrize(
+        "line, cause",
+        [
+            ("serendipity,5,4,233,19.7392", "not enough values"),
+            ("", "not enough values"),
+            ("tensor,3,4,169,19.7x,4.5e-05", "could not convert"),
+            ("tensor,3,4,169,19.7,4.5e-05,1", "too many values"),
+        ],
+        ids=["truncated", "blank", "number", "extra-field"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, line, cause):
+        path = tmp_path / "bad.csv"
+        write_csv([StudyRow("tensor", 2, 3, 49, 19.75, 0.01)], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ") + ".*" + cause):
+            read_csv(path)
 
     def test_byte_determinism(self, tmp_path):
         spec = StudySpec(
