@@ -102,13 +102,11 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    rows = studies.spectrum_report(args.bc, args.p, args.n, args.count)
-    families = list(rows[0].computed)
-    header = "index  exact" + "".join(f"  {f}" for f in families)
-    print(header)
-    for row in rows:
-        cells = "".join(f"  {row.computed[f]:.12g}" for f in families)
-        print(f"{row.index}  {row.exact:.12g}{cells}")
+    exact, computed = studies.spectrum_report(args.bc, args.p, args.n, args.count)
+    print("index  exact" + "".join(f"  {f}" for f in computed))
+    for k, value in enumerate(exact):
+        cells = "".join(f"  {values[k]:.12g}" for values in computed.values())
+        print(f"{k}  {value:.12g}{cells}")
     return 0
 
 

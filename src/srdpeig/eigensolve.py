@@ -58,13 +58,13 @@ LAPACK value), and its backward error ||L v - lambda M v||_1 /
 ((||L||_1 + |lambda| ||M||_1) ||v||_1) is recorded in the result.  The
 matrix 1-norms are exact (the largest absolute column sum of the sparse
 matrix), not estimates.
-The accuracy gate, `check_backward_error`, raises when a pair has a
-backward error above `BACKWARD_ERROR_TOL`.  `select_near` applies it to the
-pair it returns and `studies.spectrum_report` to the pairs it prints; no
-other pair is gated.  Shift-invert converges the values 1/(lambda - target)
-relative to the largest one, so when the target sits very close to an
-eigenvalue, a far pair of the window can lose digits that the selected
-pairs keep.
+The accuracy gate, `checked_values`, returns the eigenvalues at the
+positions asked for, once no pair there has a backward error above
+`BACKWARD_ERROR_TOL`.  `select_near` reads the pair nearest a target through
+it, and `studies.spectrum_report` the first `count` pairs; no other pair is
+gated.  Shift-invert converges the values 1/(lambda - target) relative to
+the largest one, so when the target sits very close to an eigenvalue, a far
+pair of the window can lose digits that the selected pairs keep.
 
 The mass check is full on the dense and separable paths and partial on the
 shift-invert path.  The dense path's Cholesky factorization of M checks M in
@@ -128,15 +128,13 @@ class EigenResult:
     """Checked eigenpairs of an n-DOF pencil, ascending.
 
     `eigenvectors[:, k]` is the vector of eigenvalue k, checked by
-    `_finish`, and `backward_error[k]` its backward error.  `target` is the
-    solve's target, None for an untargeted solve.  An empty system gives
-    no pairs and vectors of shape (0, 0).
+    `_finish`, and `backward_error[k]` its backward error.  An empty system
+    gives no pairs and vectors of shape (0, 0).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     backward_error: np.ndarray
-    target: float | None
 
     @property
     def ndofs(self) -> int:
@@ -158,12 +156,12 @@ def solve_generalized(system: GlobalSystem, target: float | None = None) -> Eige
     """
     n = system.dimension
     if n == 0:
-        return EigenResult(np.empty(0), np.empty((0, 0)), np.empty(0), target)
+        return EigenResult(np.empty(0), np.empty((0, 0)), np.empty(0))
     if target is not None and system.factor is not None:
         return _solve_separable(system, target)
     if target is not None and n > max(K, DENSE_MAX_DOFS):
         return _solve_near(system, target)
-    return _solve_dense(system, target)
+    return _solve_dense(system)
 
 
 def _eigh(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,11 +178,11 @@ def _eigh(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _solve_dense(system: GlobalSystem, target: float | None) -> EigenResult:
+def _solve_dense(system: GlobalSystem) -> EigenResult:
     """Every eigenpair from one dense `eigh` of the pencil, checked by
     `_finish`."""
     _, V = _eigh(system.L.toarray(), system.M.toarray())
-    return _finish(system, target, V)
+    return _finish(system, V)
 
 
 def _solve_separable(system: GlobalSystem, target: float) -> EigenResult:
@@ -200,7 +198,7 @@ def _solve_separable(system: GlobalSystem, target: float) -> EigenResult:
     sums = (mu[:, None] + mu).ravel()
     a, b = np.divmod(_nearest(sums, target, K), mu.size)
     V = U[line.ix[:, None], a] * U[line.iy[:, None], b]
-    return _finish(system, target, V)
+    return _finish(system, V)
 
 
 def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
@@ -246,10 +244,10 @@ def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
         raise SolveNotConverged(
             f"shift-invert solve about {target} did not converge (dimension {n})"
         ) from exc
-    return _finish(system, target, V)
+    return _finish(system, V)
 
 
-def _finish(system: GlobalSystem, target: float | None, V: np.ndarray) -> EigenResult:
+def _finish(system: GlobalSystem, V: np.ndarray) -> EigenResult:
     """Check and finish the eigenvectors V of the system's assembled pencil
     (L, M): each needs v^T M v > 0, its eigenvalue is the Rayleigh quotient
     v^T L v / v^T M v, and its backward error is recorded.  Pairs come back
@@ -263,7 +261,7 @@ def _finish(system: GlobalSystem, target: float | None, V: np.ndarray) -> EigenR
     scale = _norm1(system.L) + np.abs(w) * _norm1(system.M)
     eta = np.abs(residual).sum(axis=0) / (scale * np.abs(V).sum(axis=0))
     order = np.argsort(w, kind="stable")
-    return EigenResult(w[order], V[:, order], eta[order], target)
+    return EigenResult(w[order], V[:, order], eta[order])
 
 
 def _norm1(A) -> float:
@@ -277,27 +275,26 @@ def _nearest(w: np.ndarray, target: float, count: int) -> np.ndarray:
     return np.lexsort((w, np.abs(w - target)))[:count]
 
 
-def check_backward_error(result: EigenResult, chosen: np.ndarray | slice) -> None:
-    """Raise SolveNotConverged when a chosen pair of the result has a
-    backward error above `BACKWARD_ERROR_TOL`."""
-    eta = result.backward_error[chosen]
+def checked_values(result: EigenResult, positions) -> np.ndarray:
+    """The eigenvalues at the given positions of the result.  Raises
+    InsufficientSpectrum when no position is given or one lies past the
+    result, and SolveNotConverged when a pair there has a backward error
+    above `BACKWARD_ERROR_TOL`."""
+    positions = np.asarray(positions, dtype=np.intp)
+    needed = positions.max(initial=0) + 1
+    if positions.size == 0 or needed > len(result):
+        raise InsufficientSpectrum(f"{len(result)} eigenvalues computed, {needed} needed")
+    eta = result.backward_error[positions]
     if not (eta <= BACKWARD_ERROR_TOL).all():
         raise SolveNotConverged(
             f"eigenpairs have backward error up to {eta.max():.3g}, above "
-            f"{BACKWARD_ERROR_TOL:g} (dimension {result.ndofs}, target {result.target})"
+            f"{BACKWARD_ERROR_TOL:g} (dimension {result.ndofs})"
         )
+    return result.eigenvalues[positions]
 
 
 def select_near(result: EigenResult, target: float) -> list[float]:
-    """The eigenvalue closest to the target, as a one-element list.
-
-    Ties in distance break toward the smaller eigenvalue.  Raises
-    InsufficientSpectrum for an empty result, and SolveNotConverged when the
-    pair fails `check_backward_error`.
-    """
-    w = result.eigenvalues
-    if len(w) == 0:
-        raise InsufficientSpectrum(f"no eigenvalue near {target}: the result is empty")
-    chosen = _nearest(w, target, 1)
-    check_backward_error(result, chosen)
-    return list(w[chosen])
+    """The eigenvalue closest to the target, read through `checked_values`,
+    as a one-element list; ties in distance break toward the smaller
+    eigenvalue."""
+    return list(checked_values(result, _nearest(result.eigenvalues, target, 1)))

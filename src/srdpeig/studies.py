@@ -11,12 +11,19 @@ with a logged notice rather than failing the sweep.
 `plot_convergence` turn rows into a CSV file and an SVG chart, and
 `srdp-eig study` calls them after the study has run, so a study that raises
 leaves no file behind.
+
+Every eigenvalue a study row or a `spectrum_report` table holds is read by
+`eigensolve.checked_values`: a row through `select_near`, a table as the
+positions 0..count-1.  A failed solve or read of either raises its own
+exception type with the configuration ("tensor p=3 N=3 (square, dirichlet):
+...") put in front by `_naming_the_point`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +42,7 @@ from .eigensolve import (
     MassNotPD,
     SingularShift,
     SolveNotConverged,
-    check_backward_error,
+    checked_values,
     select_near,
     solve_generalized,
 )
@@ -48,22 +55,25 @@ P_RANGE = (1, 2, 3, 4, 5, 6)
 N_RANGE = (1, 2, 3, 4, 5)
 
 #: Named eigenvalue targets.  On the unit square 2 pi^2 is simple and 5 pi^2
-#: double.  The L-shape entries are nonzero Neumann eigenvalues counted with
-#: multiplicity: the first, the second, pi^2 (exact; double, with
-#: eigenfunctions cos(pi x) and cos(pi y)) in third and fourth place, and the
-#: fifth.  The first, second and fifth are Richardson extrapolations of this
-#: package's own solves on uniform meshes, fitted with the error exponents
-#: of the re-entrant corner (4/3 and 8/3 for the first, 8/3 and 16/3 for the
-#: others); `tests/test_studies.py` re-derives them.  Tensor p = 8 at
-#: N = 4, 8, 16 and serendipity p = 8 at N = 8, 16, 32 agree within 8e-11,
-#: 2e-12 and 2e-11 on the three, which are given to 1e-10, 1e-11 and 1e-9.
+#: double.  The `lshape_neumann_*` entries are nonzero Neumann eigenvalues
+#: of the L-shape counted with multiplicity: the first, the second, pi^2
+#: (exact; double, with eigenfunctions cos(pi x) and cos(pi y)) in third and
+#: fourth place, and the fifth.  `lshape_dirichlet_1` is the Dirichlet ground
+#: state; every discrete eigenvalue of a conforming method lies at or above
+#: it (min-max), so the eigenvalue nearest it is always the first.  The
+#: L-shape values other than pi^2 come from the method of particular
+#: solutions about the re-entrant corner (Fox, Henrici & Moler, SIAM J.
+#: Numer. Anal. 4, 1967; Betcke & Trefethen, SIAM Review 47, 2005), with no
+#: finite elements in it: 60, 80 and 100 terms agree to 1e-13, and each is
+#: given to 12 significant digits.  `tests/oracles.py` recomputes them.
 TARGET_PRESETS: dict[str, float] = {
     "two_pi_sq": 2 * math.pi**2,
     "five_pi_sq": 5 * math.pi**2,
-    "lshape_neumann_1": 1.4756218239,
+    "lshape_neumann_1": 1.47562182397,
     "lshape_neumann_2": 3.53403136679,
     "lshape_neumann_3": math.pi**2,
-    "lshape_neumann_4": 11.389479398,
+    "lshape_neumann_4": 11.3894793979,
+    "lshape_dirichlet_1": 9.63972384402,
 }
 
 
@@ -149,14 +159,25 @@ def _solve_on_mesh(
     return solve_generalized(system, target=target)
 
 
+@contextmanager
+def _naming_the_point(family: str, p: int, N: int, domain: str, bc: str):
+    """Re-raise a failed solve or read (SolveNotConverged, MassNotPD,
+    SingularShift, InsufficientSpectrum) as the same exception type, its
+    message led by the configuration."""
+    try:
+        yield
+    except (SolveNotConverged, MassNotPD, SingularShift, InsufficientSpectrum) as exc:
+        raise type(exc)(f"{family} p={p} N={N} ({domain}, {bc}): {exc}") from exc
+
+
 def run_study(spec: StudySpec) -> list[StudyRow]:
     """Rows of every sweep point for every family, in sweep order; no file
     is written.
 
     Points whose Dirichlet system is empty are skipped and logged.  A solve
-    or a selected pair that fails its checks (SolveNotConverged, MassNotPD,
-    SingularShift) raises the same exception type, naming the point.
-    Each distinct mesh is built once and shared by every family and order.
+    or a selected pair that fails its checks raises its own exception type,
+    the point named first (`_naming_the_point`).  Each distinct mesh is
+    built once and shared by every family and order.
     """
     points = spec.points()
     meshes = {N: build_mesh(spec.domain, N) for N in sorted({N for _, N in points})}
@@ -164,8 +185,9 @@ def run_study(spec: StudySpec) -> list[StudyRow]:
     for family in spec.families:
         for p, N in points:
             try:
-                result = _solve_on_mesh(meshes[N], spec.bc, family, p, spec.target)
-                lam = select_near(result, spec.target)[0]
+                with _naming_the_point(family, p, N, spec.domain, spec.bc):
+                    result = _solve_on_mesh(meshes[N], spec.bc, family, p, spec.target)
+                    lam = select_near(result, spec.target)[0]
             except EmptySystem as exc:
                 logger.warning(
                     "skipping degenerate case %s p=%d N=%d (%s, %s): %s",
@@ -177,8 +199,6 @@ def run_study(spec: StudySpec) -> list[StudyRow]:
                     exc,
                 )
                 continue
-            except (SolveNotConverged, MassNotPD, SingularShift) as exc:
-                raise type(exc)(f"{family} p={p} N={N} ({spec.domain}, {spec.bc}): {exc}") from exc
             rows.append(
                 StudyRow(family, p, N, result.ndofs, lam, abs(lam - spec.target))
             )
@@ -253,38 +273,21 @@ def exact_square_spectrum(bc: str, count: int) -> np.ndarray:
     return values[:count].astype(float) * math.pi**2
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
-    index: int
-    exact: float
-    computed: dict[str, float]
-
-
-def spectrum_report(bc: str, p: int, N: int, exact_count: int) -> list[SpectrumRow]:
-    """Side-by-side table of the exact and both families' computed spectra
-    on the unit square.
-
-    Raises InsufficientSpectrum when a family's system is smaller than the
-    requested number of eigenvalues, and SolveNotConverged when a printed
-    pair fails `check_backward_error`.  A count below 1 raises ValueError
-    before anything is solved.
+def spectrum_report(
+    bc: str, p: int, N: int, exact_count: int
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(exact, {family: computed}): the first `exact_count` eigenvalues of
+    the unit square, exact and read by `checked_values` from each family's
+    solve.  A failed solve or read raises as in `run_study`; a count below
+    1 raises ValueError before anything is solved.
     """
     if exact_count < 1:
         raise ValueError("count must be >= 1")
     mesh = build_mesh(SQUARE, N)
     computed: dict[str, np.ndarray] = {}
     for family in FAMILIES:
-        result = _solve_on_mesh(mesh, bc, family, p, None)
-        if len(result) < exact_count:
-            raise InsufficientSpectrum(
-                f"{family} p={p} N={N} yields {len(result)} eigenvalues, "
-                f"need {exact_count}"
-            )
-        check_backward_error(result, slice(exact_count))
-        computed[family] = result.eigenvalues[:exact_count]
+        with _naming_the_point(family, p, N, SQUARE, bc):
+            result = _solve_on_mesh(mesh, bc, family, p, None)
+            computed[family] = checked_values(result, range(exact_count))
     # after the solves, so that a count above the system size builds no count^2 table
-    exact = exact_square_spectrum(bc, exact_count)
-    return [
-        SpectrumRow(k, float(exact[k]), {f: float(computed[f][k]) for f in FAMILIES})
-        for k in range(exact_count)
-    ]
+    return exact_square_spectrum(bc, exact_count), computed

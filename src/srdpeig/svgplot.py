@@ -28,13 +28,10 @@ def _ticks(lo: float, hi: float) -> list[float]:
     raw = (hi - lo) / TICKS
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        out.append(t)
-        t += step
-    return out
+    # integer multiples of the step, so that a step below the spacing of
+    # the floats near lo still gives a bounded list
+    first, last = math.ceil(lo / step), math.floor(hi / step + 1e-9)
+    return [k * step for k in range(first, last + 1)]
 
 
 def line_chart(series: dict[str, list[tuple[float, float]]], path) -> None:

@@ -612,3 +612,81 @@ class LShapeParticularSolutions:
             a2, b2 = np.polyfit(grid[i + 1 :], values[i + 1 :], 1)
             center = (b2 - b1) / (a1 - a2)
         return center
+
+
+# -- exact eigenvalues of the 1D Neumann pencil ------------------------------
+
+
+def line_neumann_pencil(p: int, N: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Exact stiffness and mass matrices (S, M) of the order-p, N-cell
+    Neumann discretization of -u'' = mu u on [0, 1].
+
+    The element basis on [-1, 1] is the two hats (1 - x)/2 and (1 + x)/2
+    plus the bubbles (1 - x^2) x^j, j = 0..p-2, not the package's basis: the
+    eigenvalues do not depend on the basis of the space.  DOFs run left to
+    right, vertex c at c p and the bubbles of cell c after it, so S - mu M is
+    banded.
+    """
+    shape = [(ONE - X) * Fraction(1, 2), (ONE + X) * Fraction(1, 2)]
+    shape += [(ONE - X * X) * X**j for j in range(p - 1)]
+    slope = [f.derivative("x") for f in shape]
+    # integrate_box over [-1, 1]^2 of a function of x alone is twice its
+    # integral over [-1, 1]; a cell of width 1/N scales S by 2N and M by 1/(2N)
+    stiffness = [[integrate_box(f * g) * N for g in slope] for f in slope]
+    mass = [[integrate_box(f * g) / (4 * N) for g in shape] for f in shape]
+    n = N * p + 1
+    S = [[Fraction(0)] * n for _ in range(n)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for c in range(N):
+        dofs = [c * p, (c + 1) * p] + [c * p + 1 + j for j in range(p - 1)]
+        for a, i in enumerate(dofs):
+            for b, k in enumerate(dofs):
+                S[i][k] += stiffness[a][b]
+                M[i][k] += mass[a][b]
+    return S, M
+
+
+def _negative_pivots(A: list[list[Fraction]]) -> int | None:
+    """Negative pivots of the exact LDL^T factorization of the symmetric
+    matrix A, which is overwritten; None when a zero pivot has a nonzero
+    entry below it.  By Sylvester's law of inertia, for A = S - mu M with
+    M > 0 this counts the eigenvalues of (S, M) below mu."""
+    count = 0
+    for k, row in enumerate(A):
+        count += row[k] < 0
+        for lower in A[k + 1 :]:
+            if lower[k]:
+                if not row[k]:
+                    return None
+                f = lower[k] / row[k]
+                for j in range(k + 1, len(A)):
+                    if row[j]:
+                        lower[j] -= f * row[j]
+    return count
+
+
+def line_neumann_eigenvalue(
+    p: int, N: int, k: int, lo: Fraction, hi: Fraction, steps: int = 80
+) -> tuple[Fraction, Fraction]:
+    """Rational bounds lo <= mu_k < hi on the k-th eigenvalue (from 0,
+    ascending with multiplicity; mu_0 = 0) of `line_neumann_pencil(p, N)`,
+    narrowed from a bracket [lo, hi) that holds it.
+
+    Bisection with Sylvester counts: each of the `steps` points counts the
+    eigenvalues below it by one exact LDL^T of S - mu M.  A point where a
+    leading block of S - mu M is singular (mu = 12 is one for the hat of the
+    first cell at N = 2) gives no count; the point halfway to hi replaces it.
+    """
+    S, M = line_neumann_pencil(p, N)
+
+    def below(mu: Fraction) -> int | None:
+        return _negative_pivots([[s - mu * m for s, m in zip(*rows)] for rows in zip(S, M)])
+
+    if not below(lo) <= k < below(hi):
+        raise ValueError(f"[{lo}, {hi}) does not hold eigenvalue {k}")
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        while (count := below(mid)) is None:
+            mid = (mid + hi) / 2
+        lo, hi = (mid, hi) if count <= k else (lo, mid)
+    return lo, hi

@@ -225,7 +225,15 @@ def test_spectrum_inaccurate_pairs_exit_nonzero(monkeypatch, capsys):
     assert main(["spectrum", "--p", "3", "--n", "3", "--count", "12", "--bc", "dirichlet"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "backward error" in captured.err
+    assert "tensor p=3 N=3 (square, dirichlet): eigenpairs have backward error" in captured.err
+
+
+def test_spectrum_count_past_the_system_names_the_point(capsys):
+    # the tensor system of p = 1, N = 1 has 4 DOFs
+    assert main(["spectrum", "--p", "1", "--n", "1", "--count", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tensor p=1 N=1 (square, neumann): 4 eigenvalues computed, 10 needed" in captured.err
 
 
 def test_study_failure_names_the_point(tmp_path, monkeypatch, capsys):

@@ -26,7 +26,7 @@ from srdpeig.eigensolve import (
     MassNotPD,
     SingularShift,
     SolveNotConverged,
-    check_backward_error,
+    checked_values,
     select_near,
     solve_generalized,
 )
@@ -72,7 +72,7 @@ def nearest(result: EigenResult, target: float, count: int = K) -> np.ndarray:
     the smaller eigenvalue."""
     distance = np.abs(result.eigenvalues - target)
     chosen = np.sort(np.argsort(distance, kind="stable")[:count])
-    check_backward_error(result, chosen)
+    checked_values(result, chosen)
     return chosen
 
 
@@ -81,7 +81,7 @@ def values_result(values, backward_error=None) -> EigenResult:
     zero backward errors."""
     w = np.array(values, dtype=float)
     eta = np.zeros(w.size) if backward_error is None else np.array(backward_error)
-    return EigenResult(w, np.eye(w.size), eta, None)
+    return EigenResult(w, np.eye(w.size), eta)
 
 
 def spoil(V: np.ndarray, column: int | slice = slice(None)) -> np.ndarray:
@@ -139,7 +139,7 @@ class TestSolveGeneralized:
         assert system.factor is not None
         result = solve_generalized(system)
         n = system.dimension
-        assert len(result) == result.ndofs == n and result.target is None
+        assert len(result) == result.ndofs == n
         assert result.eigenvectors.shape == (n, n)
         V = result.eigenvectors
         residual = system.L @ V - (system.M @ V) * result.eigenvalues
@@ -194,7 +194,6 @@ class TestTargetedSolve:
         target = TARGET_PRESETS["lshape_neumann_1"]
         window = solve_configuration("lshape", "neumann", family, p, N, target=target)
         dense = solve_configuration("lshape", "neumann", family, p, N)
-        assert window.target == target and dense.target is None
         assert len(window) == K and window.ndofs == dense.ndofs
         expected = dense.eigenvalues[nearest(dense, target)]
         scale = np.maximum(np.abs(expected), target)
@@ -225,7 +224,7 @@ class TestTargetedSolve:
         V = window.eigenvectors[:, :2]
         gram = V.T @ (system.M @ V)
         assert np.linalg.det(gram) > 0.5 * gram[0, 0] * gram[1, 1]
-        check_backward_error(window, slice(None))
+        checked_values(window, range(len(window)))
 
     def test_vectors_satisfy_pencil(self):
         system = general("square", "dirichlet", "tensor", 2, 2)
@@ -497,7 +496,6 @@ class TestDenseWindow:
         assert K < len(dense) == dense.ndofs <= eigensolve.DENSE_MAX_DOFS
         monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
         forced = solve_generalized(system, target=target)
-        assert dense.target == forced.target == target
         expected = dense.eigenvalues[nearest(dense, target)]
         scale = np.maximum(np.abs(forced.eigenvalues), target)
         assert (np.abs(expected - forced.eigenvalues) <= 1e-10 * scale).all()
@@ -505,7 +503,7 @@ class TestDenseWindow:
 
     @DENSE_CASES
     def test_targeted_equals_untargeted(self, domain, bc, family, p, N, preset):
-        # the target only labels a dense result; select_near on it picks,
+        # a dense result does not depend on the target; select_near on it picks,
         # bit for bit, what a K-pair window of the same eigh call gives
         target = TARGET_PRESETS[preset]
         system = general(domain, bc, family, p, N)
@@ -514,7 +512,7 @@ class TestDenseWindow:
             assert np.array_equal(getattr(targeted, field), getattr(full, field))
         w, V = scipy.linalg.eigh(system.L.toarray(), system.M.toarray())
         window_columns = np.lexsort((w, np.abs(w - target)))[:K]
-        window = eigensolve._finish(system, target, V[:, window_columns])
+        window = eigensolve._finish(system, V[:, window_columns])
         assert select_near(targeted, target) == select_near(window, target)
 
     def test_gate_fires_when_eigh_is_perturbed(self, monkeypatch):
@@ -535,7 +533,6 @@ class TestDenseWindow:
         # one free DOF: the window is the whole spectrum, still checked
         system = general("square", "dirichlet", "tensor", 1, 2)
         result = solve_generalized(system, target=TWO_PI_SQ)
-        assert result.target == TWO_PI_SQ
         assert result.eigenvalues.tolist() == pytest.approx([24.0], rel=1e-12)
         assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
 
@@ -652,6 +649,28 @@ class TestRayleighQuotient:
             exact = exact_rayleigh_quotient(system, result.eigenvectors[:, k])
             lapack_nearest = lapack[np.argmin(np.abs(lapack - target))]
             assert abs(lapack_nearest - exact) > 1e-14 * exact
+
+
+class TestCheckedValues:
+    def test_values_at_the_positions(self):
+        result = values_result([1.0, 2.0, 3.0, 4.0])
+        assert checked_values(result, [2, 0]).tolist() == [3.0, 1.0]
+        assert checked_values(result, range(3)).tolist() == [1.0, 2.0, 3.0]
+
+    def test_gate_reads_the_positions_only(self):
+        result = values_result([1.0, 2.0, 3.0], [0.0, 1e-7, 0.0])
+        assert checked_values(result, [0, 2]).tolist() == [1.0, 3.0]
+        with pytest.raises(SolveNotConverged, match="backward error up to 1e-07"):
+            checked_values(result, range(2))
+
+    def test_position_past_the_result(self):
+        with pytest.raises(InsufficientSpectrum, match="3 eigenvalues computed, 5 needed"):
+            checked_values(values_result([1.0, 2.0, 3.0]), range(5))
+
+    @pytest.mark.parametrize("values", [[], [1.0]])
+    def test_no_position(self, values):
+        with pytest.raises(InsufficientSpectrum):
+            checked_values(values_result(values), range(0))
 
 
 class TestSelectNear:

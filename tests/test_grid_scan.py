@@ -2,11 +2,11 @@
 family, order p = 1..6 and mesh N = 1..5, at every target preset, is
 solved and its nearest eigenvalue passes the accuracy gate.
 
-2 domains x 2 BCs x 6 targets x 2 families x 6 orders x 5 meshes = 1,440
+2 domains x 2 BCs x 7 targets x 2 families x 6 orders x 5 meshes = 1,680
 targeted solves (exact pi^2 is the preset `lshape_neumann_3`).  Tensor
 systems on the square take the separable path; the others lie on both sides
 of `DENSE_MAX_DOFS`, so all three targeted paths are scanned.  It takes
-about 9 s on 2 cores.
+about 5 s on 2 cores.
 """
 
 from collections import Counter

@@ -4,14 +4,21 @@ import dataclasses
 import functools
 import logging
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import LShapeParticularSolutions
+from oracles import LShapeParticularSolutions, line_neumann_eigenvalue
 import srdpeig.studies as studies
 from srdpeig.assembly import assemble, reference_matrices
 from srdpeig.eigensolve import InsufficientSpectrum, select_near, solve_generalized
@@ -32,15 +39,18 @@ from srdpeig.studies import (
 )
 
 TWO_PI_SQ = 2 * math.pi**2
+#: pi to 50 digits, so that PI**2 is exact far past every difference below
+PI = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
 class TestTargets:
     def test_presets(self):
         assert resolve_target("two_pi_sq") == TWO_PI_SQ
-        assert resolve_target("lshape_neumann_1") == 1.4756218239
+        assert resolve_target("lshape_neumann_1") == 1.47562182397
         assert resolve_target("lshape_neumann_2") == 3.53403136679
         assert resolve_target("lshape_neumann_3") == math.pi**2
-        assert resolve_target("lshape_neumann_4") == 11.389479398
+        assert resolve_target("lshape_neumann_4") == 11.3894793979
+        assert resolve_target("lshape_dirichlet_1") == 9.63972384402
 
     def test_float_literal(self):
         assert resolve_target("19.5") == 19.5
@@ -78,13 +88,13 @@ class TestTargets:
             assert abs(extrapolated - TARGET_PRESETS[name]) <= tol, (name, extrapolated)
 
 
-#: The L-shape Neumann presets: the precision each is given to, and the
-#: value of the method of particular solutions at 60, 80 and 100 terms,
-#: which agree to 1e-13.
+#: The L-shape presets other than pi^2: the value of the method of
+#: particular solutions at 60, 80 and 100 terms, which agree to 1e-13.
 PARTICULAR_SOLUTIONS = {
-    "lshape_neumann_1": (1e-10, 1.4756218239724),
-    "lshape_neumann_2": (1e-11, 3.5340313667881),
-    "lshape_neumann_4": (1e-9, 11.3894793979476),
+    "lshape_neumann_1": 1.4756218239724,
+    "lshape_neumann_2": 3.5340313667881,
+    "lshape_neumann_4": 11.3894793979476,
+    "lshape_dirichlet_1": 9.6397238440219,
 }
 
 
@@ -97,16 +107,24 @@ class TestParticularSolutions:
     """The L-shape presets against an expansion about the re-entrant corner
     with no finite elements in it; each search starts 1e-4 away."""
 
+    @staticmethod
+    def check_preset(name: str, bc: str, start: float) -> None:
+        # each preset has 12 significant digits: it must lie within half a
+        # unit of the 12th of the oracle's value
+        preset = TARGET_PRESETS[name]
+        lam = particular_solutions(bc).eigenvalue(preset + start)
+        assert abs(lam - PARTICULAR_SOLUTIONS[name]) <= 1e-12, lam
+        assert abs(lam - preset) <= 0.5 * 10.0 ** (math.floor(math.log10(preset)) - 11), lam
+
     @pytest.mark.parametrize(
         "name, start",
         [("lshape_neumann_1", 1e-4), ("lshape_neumann_2", -1e-4), ("lshape_neumann_4", 1e-4)],
     )
     def test_neumann_preset_within_its_precision(self, name, start):
-        precision, value = PARTICULAR_SOLUTIONS[name]
-        preset = TARGET_PRESETS[name]
-        lam = particular_solutions("neumann").eigenvalue(preset + start)
-        assert abs(lam - value) <= 1e-12, lam
-        assert abs(lam - preset) <= precision, lam
+        self.check_preset(name, "neumann", start)
+
+    def test_dirichlet_preset_within_its_precision(self):
+        self.check_preset("lshape_dirichlet_1", "dirichlet", -1e-4)
 
     @pytest.mark.parametrize(
         "bc, exact, start",
@@ -305,12 +323,48 @@ class TestSameApproximationFewerDofs:
                 assert row.lambda_h == pytest.approx(mu_1, rel=1e-12, abs=0), (family, p)
             assert by_family["serendipity"].ndofs < by_family["tensor"].ndofs
 
+    @pytest.mark.parametrize(
+        "p, dofs, gap",
+        [(6, (481, 253), "3.698e-10"), (7, (645, 333), "1.177e-12"), (8, (833, 425), "2.860e-15")],
+        ids=["p6", "p7", "p8"],
+    )
+    def test_pi_sq_rows_are_the_exact_1d_eigenvalue(self, p, dofs, gap):
+        # mu_1 of the exact 1D pencil at N = 2 lies above pi^2, as a
+        # conforming method's eigenvalue must; the float rows are checked
+        # against it, not against pi^2
+        lo, hi = line_neumann_eigenvalue(p, 2, 1, Fraction(9), Fraction(10))
+        assert lo > PI**2 and f"{float(lo - PI**2):.3e}" == gap
+        for family, ndofs in zip(("tensor", "serendipity"), dofs):
+            # StudySpec sweeps p <= 6, so each point is solved by configuration
+            result = studies.solve_configuration(
+                "lshape", "neumann", family, p, 2, target=math.pi**2
+            )
+            assert result.ndofs == ndofs
+            lam = Fraction(select_near(result, math.pi**2)[0])
+            assert abs(lam - lo) <= Fraction(1e-13), (family, float(lam - lo))
+
     def test_two_pi_sq_rows_differ(self):
         # cos(pi x) cos(pi y) is no function of one variable, so the
         # families approximate it differently
         for p, by_family in lshape_neumann_p_rows(TWO_PI_SQ).items():
             tensor, serendipity = (by_family[f].lambda_h for f in ("tensor", "serendipity"))
             assert abs(tensor - serendipity) > 1e-9 * tensor, p
+
+
+@pytest.mark.parametrize("sweep", ["p", "h"])
+def test_lshape_dirichlet_rows_are_the_ground_state(sweep):
+    # by min-max every discrete eigenvalue of a conforming method lies at or
+    # above lambda_1, so the eigenvalue nearest lshape_dirichlet_1 is the first
+    target = TARGET_PRESETS["lshape_dirichlet_1"]
+    spec = StudySpec("lshape", "dirichlet", ("tensor", "serendipity"), target, sweep, 2)
+    rows = run_study(spec)
+    assert len(rows) == 2 * len(spec.points())
+    for row in rows:
+        first = studies.solve_configuration(
+            "lshape", "dirichlet", row.family, row.p, row.N
+        ).eigenvalues[0]
+        assert row.lambda_h == pytest.approx(first, rel=1e-10, abs=0), row
+        assert row.lambda_h > target, row
 
 
 @pytest.mark.xfail(
@@ -438,6 +492,36 @@ class TestPlot:
         with pytest.raises(ValueError):
             plot_convergence([], tmp_path / "never.svg")
 
+    def test_errors_a_few_ulps_apart(self, tmp_path):
+        """Two errors whose log10 values differ by a few ulps make a tick step
+        below the spacing of the floats near -3, where a tick loop that adds
+        the step never ends.  The plot runs in a child process capped at
+        1 GB of address space and 60 s, so such a loop fails the test
+        instead of hanging the suite."""
+        code = textwrap.dedent(
+            """
+            import math, sys
+            from srdpeig.studies import StudyRow, plot_convergence
+            low = high = 1e-3
+            while math.log10(high) == math.log10(low):
+                high = math.nextafter(high, 1)
+            rows = [StudyRow("tensor", 1, 2, 9, 20.0, low)]
+            rows.append(StudyRow("tensor", 2, 2, 25, 20.0, high))
+            plot_convergence(rows, sys.argv[1])
+            """
+        )
+        path = tmp_path / "flat.svg"
+        env = {**os.environ, "PYTHONPATH": str(Path(studies.__file__).parents[1])}
+        limit = (2**30, 2**30)
+        subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+            timeout=60,
+            check=True,
+        )
+        assert _svg_counts(path) == (1, 2)
+
     def test_title_and_axis_labels(self, tmp_path):
         path = tmp_path / "labels.svg"
         plot_convergence([StudyRow("tensor", 1, 2, 9, 24.0, 4.26)], path)
@@ -451,20 +535,23 @@ class TestPlot:
 
 class TestSpectrumReport:
     def test_neumann_low_indices(self):
-        rows = spectrum_report("neumann", 2, 2, 5)
-        assert rows[0].exact == 0.0
-        assert abs(rows[0].computed["tensor"]) < 1e-9
-        assert abs(rows[0].computed["serendipity"]) < 1e-9
-        assert rows[1].exact == rows[2].exact == pytest.approx(math.pi**2)
+        exact, computed = spectrum_report("neumann", 2, 2, 5)
+        assert len(exact) == 5 and exact[0] == 0.0
+        assert list(computed) == ["tensor", "serendipity"]
+        for values in computed.values():
+            assert len(values) == 5 and abs(values[0]) < 1e-9
+        assert exact[1] == exact[2] == pytest.approx(math.pi**2)
 
     def test_families_nearly_equal_at_low_indices(self):
-        rows = spectrum_report("neumann", 3, 5, 12)
-        for row in rows[1:]:
-            gap = abs(row.computed["tensor"] - row.computed["serendipity"])
-            assert gap <= 1e-3 * row.exact
+        exact, computed = spectrum_report("neumann", 3, 5, 12)
+        gap = np.abs(computed["tensor"] - computed["serendipity"])
+        assert (gap[1:] <= 1e-3 * exact[1:]).all()
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientSpectrum):
+        with pytest.raises(
+            InsufficientSpectrum,
+            match=re.escape("tensor p=1 N=1 (square, neumann): 4 eigenvalues computed, 10 needed"),
+        ):
             spectrum_report("neumann", 1, 1, 10)
 
     @pytest.mark.parametrize("count", [0, -1])
