@@ -665,28 +665,28 @@ def _negative_pivots(A: list[list[Fraction]]) -> int | None:
     return count
 
 
-def line_neumann_eigenvalue(
-    p: int, N: int, k: int, lo: Fraction, hi: Fraction, steps: int = 80
-) -> tuple[Fraction, Fraction]:
-    """Rational bounds lo <= mu_k < hi on the k-th eigenvalue (from 0,
-    ascending with multiplicity; mu_0 = 0) of `line_neumann_pencil(p, N)`,
-    narrowed from a bracket [lo, hi) that holds it.
+def line_neumann_mu_1(p: int) -> tuple[Fraction, Fraction]:
+    """Rational bounds lo <= mu_1 < hi, 2^-80 apart, on the first nonzero
+    eigenvalue of `line_neumann_pencil(p, 2)`, which lies in [9, 10) for
+    p >= 2 (it approaches pi^2 from above).
 
-    Bisection with Sylvester counts: each of the `steps` points counts the
-    eigenvalues below it by one exact LDL^T of S - mu M.  A point where a
-    leading block of S - mu M is singular (mu = 12 is one for the hat of the
-    first cell at N = 2) gives no count; the point halfway to hi replaces it.
+    Bisection with Sylvester counts: each of the 80 points counts the
+    eigenvalues below it by one exact LDL^T of S - mu M; mu_0 = 0 and mu_1
+    are the eigenvalues below hi, so mu_1 lies below mid when the count is 2.
+    A point where a leading block of S - mu M is singular gives no count;
+    the point halfway to hi replaces it.
     """
-    S, M = line_neumann_pencil(p, N)
+    S, M = line_neumann_pencil(p, 2)
 
     def below(mu: Fraction) -> int | None:
         return _negative_pivots([[s - mu * m for s, m in zip(*rows)] for rows in zip(S, M)])
 
-    if not below(lo) <= k < below(hi):
-        raise ValueError(f"[{lo}, {hi}) does not hold eigenvalue {k}")
-    for _ in range(steps):
+    lo, hi = Fraction(9), Fraction(10)
+    if not below(lo) == 1 < below(hi):
+        raise ValueError(f"[{lo}, {hi}) does not hold mu_1 at p = {p}")
+    for _ in range(80):
         mid = (lo + hi) / 2
         while (count := below(mid)) is None:
             mid = (mid + hi) / 2
-        lo, hi = (mid, hi) if count <= k else (lo, mid)
+        lo, hi = (mid, hi) if count == 1 else (lo, mid)
     return lo, hi

@@ -228,14 +228,6 @@ def test_spectrum_inaccurate_pairs_exit_nonzero(monkeypatch, capsys):
     assert "tensor p=3 N=3 (square, dirichlet): eigenpairs have backward error" in captured.err
 
 
-def test_spectrum_count_past_the_system_names_the_point(capsys):
-    # the tensor system of p = 1, N = 1 has 4 DOFs
-    assert main(["spectrum", "--p", "1", "--n", "1", "--count", "10"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tensor p=1 N=1 (square, neumann): 4 eigenvalues computed, 10 needed" in captured.err
-
-
 def test_study_failure_names_the_point(tmp_path, monkeypatch, capsys):
     # spoiled eigh vectors fail the gate at the first point of the sweep;
     # the error names that point, not only the solve's dimension and target
