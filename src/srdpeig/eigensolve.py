@@ -18,11 +18,17 @@ without a target, is dense.  Nothing else selects a path, and
   N p + 1 DOFs gives every mu; the `K` sums nearest the target give the
   vectors U[ix, a] U[iy, b] on the system's DOFs.  No sparse factorization
   and no Lanczos iteration run.
-* Shift-invert: more than `DENSE_MAX_DOFS` DOFs: the `K`
-  eigenpairs nearest the target come from shift-invert Lanczos about it
-  (ARPACK through `scipy.sparse.linalg.eigsh` with `sigma=target`) on the
-  assembled pencil.  A study point needs only the eigenvalue nearest its
-  target, so nothing else is computed.  The shifted matrix
+* Shift-invert: more than `DENSE_MAX_DOFS` DOFs: the one eigenpair
+  nearest the target comes from shift-invert Lanczos about it (ARPACK
+  through `scipy.sparse.linalg.eigsh` with `sigma=target` and `NCV`
+  Lanczos vectors) on the assembled pencil.  A study point reads only the
+  eigenvalue nearest its target, so nothing else is computed: converging
+  two more pairs took 21 solves where one takes 7 (median over the
+  shift-invert points of the tier-1 grid), and ARPACK's cost is those
+  solves (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996).  When
+  two eigenvalues lie equally far from the target (a double eigenvalue, or
+  an exact tie on both sides), the result holds the one ARPACK converges;
+  the copies of a double eigenvalue have one value.  The shifted matrix
   a = L - target * M is scipy's sparse difference of the assembled
   matrices, which stores no entry that comes out exactly 0, and the mass
   matrix ARPACK multiplies by drops its exact zeros too.  At p = 6 the
@@ -39,17 +45,19 @@ without a target, is dense.  Nothing else selects a path, and
   congruence keeps the inertia of a (Ericsson & Ruhe, Math. Comp. 35,
   1980).  A target at which a is exactly singular raises `SingularShift`.
 
-`DENSE_MAX_DOFS` = 200 lies between the sizes where the dense and
-shift-invert paths cost the same on the L-shape (160 to 170 DOFs) and on the
-square (153 to 225).  Medians of 41 `solve_generalized` calls at 2 BLAS
-threads (Intel Xeon, 2 vCPUs), dense against shift-invert, ranges over 3 to
-5 runs: L-shape 2.0-3.2 against 3.8-6.1 ms at 96 DOFs, 6.3-7.3 against
-5.4-7.2 at 161, 9.0-9.8 against 7.5-8.0 at 185 and 13.2-14.1 against 8.3-8.7
-at 225; square Dirichlet serendipity at 2 pi^2, 5.9-6.2 against 9.3-10.7 at
-153, 12.4-13.2 against 10.9-12.4 at 225 and 33.2-35.3 against 14.6-16.2 at
-366.  Below it, ARPACK's fixed cost outweighs the O(n^3) of LAPACK: it
-makes 21 to 37 shift-invert solves and 62 to 110 M-products even at 45 to
-121 DOFs.
+`DENSE_MAX_DOFS` = 200 was set where a three-pair shift-invert window cost
+as much as the dense path (160 to 225 DOFs).  Since shift-invert converges
+one pair, the two cost the same at about 100 DOFs on both domains.  Medians
+of 41 `solve_generalized` calls at 2 BLAS threads (Intel Xeon, 2 vCPUs),
+dense against shift-invert, ranges over 3 runs: 1.32-1.43 against
+1.66-1.99 ms at 79 DOFs (square Dirichlet serendipity at 2 pi^2),
+0.97 against 1.16-1.18 at 85 (L-shape Neumann serendipity at lambda_1),
+1.26-1.34 against 1.23-1.26 at 96 (L-shape tensor), 1.21-1.24 against
+1.39-1.45 at 97 (square); 1.43-1.47 against 1.27-1.86 at 106, 2.54-2.76
+against 1.38-1.49 at 133 and 5.32-5.40 against 1.80-1.91 at 185 (L-shape);
+4.75-5.03 against 2.16-2.60 at 153 and 20.9-23.2 against 2.89-3.05 at 366
+(square).  Below about 100 DOFs, ARPACK's fixed cost outweighs the O(n^3)
+of LAPACK.
 
 All three paths pass their solver's vectors unchanged to one `_finish` on
 the assembled pencil: each pair must have a positive M-norm, its eigenvalue
@@ -62,26 +70,30 @@ The accuracy gate, `checked_values`, returns the eigenvalues at the
 positions asked for, once no pair there has a backward error above
 `BACKWARD_ERROR_TOL`.  `select_near` reads the pair nearest a target through
 it, and `studies.spectrum_report` the first `count` pairs; no other pair is
-gated.  Shift-invert converges the values 1/(lambda - target) relative to
-the largest one, so when the target sits very close to an eigenvalue, a far
-pair of the window can lose digits that the selected pairs keep.
+gated: the dense and separable results hold pairs no study reads, and a
+shift-invert result holds only the pair ARPACK converged.
 
 The mass check is full on the dense and separable paths and partial on the
 shift-invert path.  The dense path's Cholesky factorization of M checks M in
-full.  On the separable path M = M1 (x) M1 up to a permutation and
-rounding.  The eigenvalues of M1 (x) M1 are the products of pairs of those
-of M1, and M1 has a positive diagonal, so M is positive definite exactly
-when M1 is: the Cholesky factorization of M1 inside `eigh(S1, M1)` checks
-M in full too, and its failure raises `MassNotPD`.  ARPACK assumes M > 0
-and does not test it, so the shift-invert path first checks that M's
-diagonal is positive, which M > 0 requires.  The test is exact and O(n),
-and its failure raises `MassNotPD` before anything is factored, whatever
-ARPACK's subspace: on the pencil L = diag(1..50), M = I but -1 at index
-10, about target 2.5, ARPACK with 10 Lanczos vectors and tolerance 1e-10,
-or 11 and tolerance 0, returns windows such as 2, 3 and a spurious third
-value.  The test does not catch an indefinite M with a positive diagonal.
-Then `_finish` raises `MassNotPD` only when a returned vector has
-v^T M v <= 0; otherwise only the selection gate can reject the window.
+full.  On the separable path M = M1 (x) M1 up to a permutation and rounding.
+The eigenvalues of M1 (x) M1 are the products of pairs of those of M1, and
+M1 has a positive diagonal, so M is positive definite exactly when M1 is:
+the Cholesky factorization of M1 inside `eigh(S1, M1)` checks M in full too,
+and its failure raises `MassNotPD`.  ARPACK assumes M > 0 and does not test
+it, so the shift-invert path first checks two things M > 0 requires: a
+positive diagonal, and m_ij^2 < m_ii m_jj for every stored off-diagonal m_ij
+(its 2 x 2 principal minors).  Both are exact and O(nnz), and every
+assembled mass matrix passes with room: the smallest
+1 - m_ij^2 / (m_ii m_jj) is 0.028 (square tensor p = 8, N = 3, over both
+domains, BCs and families, p = 1..8 and N = 1..3).  Their failure raises
+`MassNotPD` before anything is factored, whatever ARPACK's subspace: on the
+pencil L = diag(1..50), M = I but -1 at index 10, about target 2.5, ARPACK
+with 10 Lanczos vectors and tolerance 1e-10, or 11 and tolerance 0, returned
+three-pair windows such as 2, 3 and a spurious third value, and one returned
+vector need not see the negative direction.  The checks do not catch every
+indefinite M; then `_finish` raises `MassNotPD` only when the returned
+vector has v^T M v <= 0, and otherwise only the selection gate can reject
+the pair.
 
 Eigenvalues come back real and ascending on every path.
 """
@@ -96,8 +108,16 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .assembly import GlobalSystem
 
-#: Pairs of a separable or shift-invert window: a double eigenvalue and a neighbour.
+#: Pairs of a separable window: a double eigenvalue and a neighbour.  A
+#: shift-invert result holds one pair, of a system of more than K DOFs.
 K = 3
+#: Lanczos vectors of a one-pair shift-invert solve, capped at the system's
+#: DOFs.  Applications of the shifted inverse over the 434 shift-invert
+#: solves of the tier-1 grid (both domains and BCs, every preset, both
+#: families, p <= 6, N <= 5), in total and (in brackets) at the worst solve:
+#: 3 vectors 5,064 (35), 4 vectors 4,798 (27), 6 vectors 4,799 (22); a
+#: three-pair window at ARPACK's default took 11,723 (51).
+NCV = 6
 #: Largest system without a `LineFactor` that a targeted solve hands to the
 #: dense path (module docstring).
 DENSE_MAX_DOFS = 200
@@ -107,7 +127,8 @@ BACKWARD_ERROR_TOL = 1e-8
 
 class MassNotPD(RuntimeError):
     """Mass matrix is not positive definite (failed Cholesky, a diagonal
-    entry <= 0, or an eigenvector with v^T M v <= 0)."""
+    entry <= 0, a 2 x 2 principal minor <= 0, or an eigenvector with
+    v^T M v <= 0)."""
 
 
 class InsufficientSpectrum(ValueError):
@@ -148,11 +169,11 @@ def solve_generalized(system: GlobalSystem, target: float | None = None) -> Eige
     """Checked eigenpairs of the assembled pencil (L, M).
 
     With a target, the `K` pairs nearest it come from the 1D pencil when
-    the system carries a `LineFactor`, or from sparse shift-invert when the
-    system has more than `DENSE_MAX_DOFS` DOFs.  Otherwise, and always
-    without a target, every pair comes from one dense `eigh` call.  Each
-    path returns Rayleigh quotients, vectors and backward errors through
-    one `_finish` (module docstring).
+    the system carries a `LineFactor`, or the one pair nearest it from
+    sparse shift-invert when the system has more than `DENSE_MAX_DOFS`
+    DOFs.  Otherwise, and always without a target, every pair comes from one
+    dense `eigh` call.  Each path returns Rayleigh quotients, vectors and
+    backward errors through one `_finish` (module docstring).
     """
     n = system.dimension
     if n == 0:
@@ -202,11 +223,23 @@ def _solve_separable(system: GlobalSystem, target: float) -> EigenResult:
 
 
 def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
-    """The K eigenpairs nearest the target by sparse shift-invert Lanczos on
+    """The eigenpair nearest the target by sparse shift-invert Lanczos on
     the assembled pencil, whose solve factors the balanced shifted matrix."""
     n = system.dimension
-    if (system.M.diagonal() <= 0).any():
+    mass = system.M.copy()
+    mass.eliminate_zeros()
+    # M > 0 needs a positive diagonal and, for every stored off-diagonal
+    # m_ij, a positive 2 x 2 principal minor: m_ij^2 < m_ii m_jj
+    diagonal = mass.diagonal()
+    if (diagonal <= 0).any():
         raise MassNotPD(f"mass matrix of dimension {n} has a diagonal entry <= 0")
+    rows = np.repeat(np.arange(n), np.diff(mass.indptr))
+    off = rows != mass.indices
+    if not (mass.data[off] ** 2 < diagonal[rows[off]] * diagonal[mass.indices[off]]).all():
+        raise MassNotPD(
+            f"mass matrix of dimension {n} is not positive definite: "
+            "a 2 x 2 principal minor is <= 0"
+        )
     # scipy stores no entry of a sparse sum that is exactly 0, so a holds
     # no position where M and L are both 0
     a = system.L - target * system.M
@@ -233,13 +266,11 @@ def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
     # ARPACK's default start vector is random; a fixed one keeps output bytes
     # identical from run to run.
     v0 = d * np.random.default_rng(0).standard_normal(n)
-    mass = system.M.copy()
-    mass.eliminate_zeros()
     try:
         # with sigma and OPinv, eigsh reads only the shape and dtype of its
-        # first argument; the Ritz values are replaced by Rayleigh quotients
+        # first argument; the Ritz value is replaced by a Rayleigh quotient
         # in _finish
-        _, V = eigsh(system.L, K, M=mass, sigma=target, v0=v0, OPinv=OPinv)
+        _, V = eigsh(system.L, 1, M=mass, sigma=target, v0=v0, OPinv=OPinv, ncv=min(NCV, n))
     except ArpackNoConvergence as exc:
         raise SolveNotConverged(
             f"shift-invert solve about {target} did not converge (dimension {n})"
@@ -277,10 +308,12 @@ def _nearest(w: np.ndarray, target: float, count: int) -> np.ndarray:
 
 def checked_values(result: EigenResult, positions) -> np.ndarray:
     """The eigenvalues at the given positions of the result.  Raises
-    InsufficientSpectrum when no position is given or one lies past the
-    result, and SolveNotConverged when a pair there has a backward error
-    above `BACKWARD_ERROR_TOL`."""
+    InsufficientSpectrum when no position is given, one is negative or one
+    lies past the result, and SolveNotConverged when a pair there has a
+    backward error above `BACKWARD_ERROR_TOL`."""
     positions = np.asarray(positions, dtype=np.intp)
+    if positions.min(initial=0) < 0:
+        raise InsufficientSpectrum(f"position {positions.min()} is negative")
     needed = positions.max(initial=0) + 1
     if positions.size == 0 or needed > len(result):
         raise InsufficientSpectrum(f"{len(result)} eigenvalues computed, {needed} needed")
@@ -296,5 +329,6 @@ def checked_values(result: EigenResult, positions) -> np.ndarray:
 def select_near(result: EigenResult, target: float) -> list[float]:
     """The eigenvalue closest to the target, read through `checked_values`,
     as a one-element list; ties in distance break toward the smaller
-    eigenvalue."""
+    eigenvalue.  A shift-invert result holds one pair, so there an exact tie
+    has already gone to the pair ARPACK converged (module docstring)."""
     return list(checked_values(result, _nearest(result.eigenvalues, target, 1)))

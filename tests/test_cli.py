@@ -142,8 +142,7 @@ def test_study_target_near_eigenvalue_exits_zero(tmp_path):
     """At tensor p = 6, N = 2 the 5 pi^2 target lies about 1e-7 from the
     computed double eigenvalue.  The study takes the separable path on
     these systems; `test_eigensolve` solves the same systems by
-    shift-invert, where the far pair of the window is the less accurate
-    one and only the selected pairs are gated."""
+    shift-invert, which converges one copy of the double eigenvalue."""
     csv_path = tmp_path / "five.csv"
     argv = "study --domain square --bc dirichlet --family tensor --sweep p --fixed 2"
     assert main(argv.split() + ["--target", "five_pi_sq", "--csv", str(csv_path)]) == 0

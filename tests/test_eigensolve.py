@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from oracles import (
     bruteforce_square_spectrum,
@@ -168,8 +168,9 @@ class TestSolveGeneralized:
         ids=["separable", "dense", "shift-invert", "separable-one-dof", "dense-one-dof"],
     )
     def test_targeted_result_carries_checked_vectors(self, request, path, bc, p, N):
-        # all n vectors on the dense path, else K, or all n when n <= K; in
-        # the order of the eigenvalues
+        # all n vectors on the dense path, K (or all n when n <= K) on the
+        # separable one and one on shift-invert; in the order of the
+        # eigenvalues
         if path == "shift-invert":
             request.getfixturevalue("shift_invert")
         build = assembled if path == "separable" else general
@@ -177,7 +178,8 @@ class TestSolveGeneralized:
         result = solve_generalized(system, target=FIVE_PI_SQ)
         n = system.dimension
         V = result.eigenvectors
-        assert V.shape == (n, n if path == "dense" else min(K, n))
+        columns = {"dense": n, "separable": min(K, n), "shift-invert": 1}[path]
+        assert V.shape == (n, columns)
         residual = system.L @ V - (system.M @ V) * result.eigenvalues
         assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
         assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
@@ -189,47 +191,76 @@ class TestTargetedSolve:
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("N", [2, 3])
     def test_lshape_neumann_agrees_with_dense(self, family, p, N):
-        # the window of K = 3 about 1.4756 holds the lambda = 0 constant mode,
-        # so errors are relative to max(|lambda|, target)
+        # shift-invert returns the one pair nearest 1.4756: the dense
+        # solve's nearest; errors are relative to max(|lambda|, target)
         target = TARGET_PRESETS["lshape_neumann_1"]
-        window = solve_configuration("lshape", "neumann", family, p, N, target=target)
+        pair = solve_configuration("lshape", "neumann", family, p, N, target=target)
         dense = solve_configuration("lshape", "neumann", family, p, N)
-        assert len(window) == K and window.ndofs == dense.ndofs
-        expected = dense.eigenvalues[nearest(dense, target)]
+        assert len(pair) == 1 and pair.ndofs == dense.ndofs
+        expected = dense.eigenvalues[nearest(dense, target, 1)]
         scale = np.maximum(np.abs(expected), target)
-        assert (np.abs(window.eigenvalues - expected) <= 1e-10 * scale).all()
+        assert (np.abs(pair.eigenvalues - expected) <= 1e-10 * scale).all()
 
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
     def test_double_eigenvalue_both_copies(self, family):
+        # the dense result holds both copies of 5 pi^2; the shift-invert pair
+        # is the one ARPACK converged, and has the value of both
         system = general("square", "dirichlet", family, 3, 3)
-        window = solve_generalized(system, target=FIVE_PI_SQ)
+        pair = solve_generalized(system, target=FIVE_PI_SQ)
         dense = solve_generalized(system)
-        ours = window.eigenvalues[nearest(window, FIVE_PI_SQ, 2)]
+        ours = pair.eigenvalues[nearest(pair, FIVE_PI_SQ, 1)]
         theirs = dense.eigenvalues[nearest(dense, FIVE_PI_SQ, 2)]
-        assert ours == pytest.approx(theirs, rel=1e-10, abs=0)
-        assert abs(ours[1] - ours[0]) < 1e-9 * ours[0]
+        assert np.repeat(ours, 2) == pytest.approx(theirs, rel=1e-10, abs=0)
+        assert abs(theirs[1] - theirs[0]) < 1e-9 * theirs[0]
 
     def test_double_eigenvalue_on_assembled_lshape(self):
-        # 532 DOFs, past DENSE_MAX_DOFS: the window about pi^2 holds both
-        # copies of the double eigenvalue and lambda_5 = 11.3895..., the two
-        # pi^2 vectors span its eigenspace, and every pair passes the gate
+        # 532 DOFs, past DENSE_MAX_DOFS: the dense window about pi^2 holds
+        # both copies of the double eigenvalue and lambda_5 = 11.3895..., and
+        # its two pi^2 vectors span the eigenspace; the shift-invert pair has
+        # the value of both copies and passes the gate
         system = assembled("lshape", "neumann", "serendipity", 6, 3)
         assert system.dimension == 532
         target = TARGET_PRESETS["lshape_neumann_3"]
-        window = solve_generalized(system, target=target)
+        pair = solve_generalized(system, target=target)
         dense = solve_generalized(system)
         expected = dense.eigenvalues[nearest(dense, target)]
         assert expected[:2] == pytest.approx([math.pi**2] * 2, rel=1e-10)
-        assert window.eigenvalues == pytest.approx(expected, rel=1e-10, abs=0)
-        V = window.eigenvectors[:, :2]
+        assert np.repeat(pair.eigenvalues, 2) == pytest.approx(expected[:2], rel=1e-10, abs=0)
+        V = dense.eigenvectors[:, nearest(dense, target, 2)]
         gram = V.T @ (system.M @ V)
         assert np.linalg.det(gram) > 0.5 * gram[0, 0] * gram[1, 1]
-        checked_values(window, range(len(window)))
+        checked_values(pair, range(len(pair)))
+
+    def test_one_pair_needs_few_solves(self, monkeypatch):
+        # a work guard on the 532-DOF system about the double eigenvalue
+        # pi^2: a three-pair window at ARPACK's default subspace applied the
+        # shifted inverse 21 times, the one pair with NCV Lanczos vectors 7
+        applications = []
+        real = eigensolve.eigsh
+
+        def eigsh(*args, OPinv, **kwargs):
+            def counted(x):
+                applications.append(1)
+                return OPinv.matvec(x)
+
+            counting = LinearOperator(OPinv.shape, matvec=counted, dtype=float)
+            return real(*args, OPinv=counting, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "eigsh", eigsh)
+        system = assembled("lshape", "neumann", "serendipity", 6, 3)
+        assert system.dimension == 532
+        target = TARGET_PRESETS["lshape_neumann_3"]
+        assert select_near(solve_generalized(system, target=target), target) == pytest.approx(
+            [math.pi**2], rel=1e-10
+        )
+        assert len(applications) < 21
 
     def test_vectors_satisfy_pencil(self):
         system = general("square", "dirichlet", "tensor", 2, 2)
         result = solve_generalized(system, target=TWO_PI_SQ)
-        assert result.eigenvectors.shape == (system.dimension, K)
+        assert result.eigenvectors.shape == (system.dimension, 1)
+        expected = select_near(solve_generalized(system), TWO_PI_SQ)
+        assert result.eigenvalues == pytest.approx(expected, rel=1e-10, abs=0)
         V = result.eigenvectors
         residual = system.L @ V - (system.M @ V) * result.eigenvalues
         assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
@@ -237,8 +268,7 @@ class TestTargetedSolve:
     @pytest.mark.parametrize("p", P_RANGE)
     def test_target_near_double_eigenvalue(self, p):
         # at p = 6, N = 2 the target lies about 1e-7 from the computed double
-        # 5 pi^2, so the far pair of the window (2 pi^2) is resolved less
-        # accurately than the selected ones; only those are gated
+        # 5 pi^2; shift-invert converges one copy, which the gate reads
         system = general("square", "dirichlet", "tensor", p, 2)
         window = solve_generalized(system, target=FIVE_PI_SQ)
         expected = select_near(solve_generalized(system), FIVE_PI_SQ)[0]
@@ -259,23 +289,44 @@ class TestTargetedSolve:
     @pytest.mark.parametrize("ncv, tol", [(10, 1e-10), (11, 0)])
     def test_indefinite_mass_raises_whatever_the_subspace(self, monkeypatch, ncv, tol):
         # with these Lanczos settings ARPACK's vectors miss the negative
-        # direction (windows 2, 3, 63.97 and 1.695, 2, 3): only the check of
-        # M's diagonal before the factorization catches it
+        # direction (three-pair windows 2, 3, 63.97 and 1.695, 2, 3): only the
+        # check of M's diagonal before the factorization catches it
         real = eigensolve.eigsh
         monkeypatch.setattr(
-            eigensolve, "eigsh", lambda *args, **kw: real(*args, **kw, ncv=ncv, tol=tol)
+            eigensolve, "eigsh", lambda *args, **kw: real(*args, **{**kw, "ncv": ncv, "tol": tol})
         )
         with pytest.raises(MassNotPD, match="diagonal"):
             solve_generalized(self.indefinite_mass_system(), target=2.5)
 
-    def test_indefinite_mass_with_positive_diagonal_raises(self):
-        # M's diagonal passes; the 2 x 2 block [[1, 2], [2, 1]] is indefinite,
-        # and the returned vectors catch it through v^T M v <= 0
+    @pytest.mark.parametrize("ncv, tol", [(10, 1e-10), (11, 0)])
+    def test_indefinite_minor_raises_whatever_the_subspace(self, monkeypatch, ncv, tol):
+        # M's diagonal passes and its 2 x 2 block [[1, 2], [2, 1]] does not:
+        # the minor check raises before SuperLU factors anything, whatever
+        # ARPACK's Lanczos settings
+        real = eigensolve.eigsh
+        monkeypatch.setattr(
+            eigensolve, "eigsh", lambda *args, **kw: real(*args, **{**kw, "ncv": ncv, "tol": tol})
+        )
+
+        def splu(*args, **kwargs):
+            raise AssertionError("the shifted matrix was factored")
+
+        monkeypatch.setattr(eigensolve, "splu", splu)
+        with pytest.raises(MassNotPD, match="2 x 2 principal minor"):
+            solve_generalized(self.indefinite_minor_system(), target=3.5)
+
+    @staticmethod
+    def indefinite_minor_system() -> GlobalSystem:
         mass = np.eye(50)
         mass[10, 11] = mass[11, 10] = 2.0
-        system = synthetic_system(np.diag(np.arange(1.0, 51.0)), mass)
+        return synthetic_system(np.diag(np.arange(1.0, 51.0)), mass)
+
+    def test_indefinite_mass_with_positive_diagonal_raises(self):
+        # M's diagonal passes; the 2 x 2 block [[1, 2], [2, 1]] is indefinite,
+        # and the check of M's 2 x 2 principal minors catches it (one
+        # returned vector need not reach v^T M v <= 0)
         with pytest.raises(MassNotPD, match="not positive definite"):
-            solve_generalized(system, target=3.5)
+            solve_generalized(self.indefinite_minor_system(), target=3.5)
 
     def test_inaccurate_pairs_raise(self, monkeypatch):
         real = eigensolve.eigsh
@@ -294,25 +345,27 @@ class TestTargetedSolve:
         "pick, selected", [(np.argmin, True), (np.argmax, False)], ids=["nearest", "farthest"]
     )
     def test_gate_covers_selected_pairs_only(self, monkeypatch, pick, selected):
-        # perturb one pair of the window: the one nearest the target (which
-        # select_near returns) or the farthest (which it does not)
-        real = eigensolve.eigsh
+        # perturb one pair of a K-pair window: the one nearest the target
+        # (which select_near returns) or the farthest (which it does not).
+        # A shift-invert result holds the nearest pair only, so the window is
+        # the separable one
+        system = assembled("square", "dirichlet", "tensor", 2, 3)
+        expected = select_near(solve_generalized(system), TWO_PI_SQ)
+        real = eigensolve._finish
 
-        def perturbed(*args, **kwargs):
-            w, V = real(*args, **kwargs)
-            return w, spoil(V, pick(np.abs(w - kwargs["sigma"])))
+        def perturbed(system, V):
+            w = np.einsum("ij,ij->j", V, system.L @ V) / np.einsum("ij,ij->j", V, system.M @ V)
+            return real(system, spoil(V, pick(np.abs(w - TWO_PI_SQ))))
 
-        monkeypatch.setattr(eigensolve, "eigsh", perturbed)
-        system = general("square", "dirichlet", "tensor", 2, 3)
+        monkeypatch.setattr(eigensolve, "_finish", perturbed)
         window = solve_generalized(system, target=TWO_PI_SQ)
+        assert len(window) == K
         assert (window.backward_error > BACKWARD_ERROR_TOL).sum() == 1
         if selected:
             with pytest.raises(SolveNotConverged, match="backward error"):
                 select_near(window, TWO_PI_SQ)
         else:
-            dense = solve_generalized(system)
-            ours = select_near(window, TWO_PI_SQ)
-            assert ours == pytest.approx(select_near(dense, TWO_PI_SQ), rel=1e-10, abs=0)
+            assert select_near(window, TWO_PI_SQ) == pytest.approx(expected, rel=1e-10, abs=0)
 
     # on both systems scipy's onenormest underestimated a 1-norm, of M by
     # 6.3% and of L by 14%
@@ -351,18 +404,17 @@ class TestTargetedSolve:
         n = 10
         L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         system = synthetic_system(L, np.eye(n))
-        window = solve_generalized(system, target=2.0)
+        pair = solve_generalized(system, target=2.0)
         dense = solve_generalized(system)
         # the spectrum 2 - 2 cos(k pi / 11), k = 1..10, is symmetric about the
-        # target, so its third-nearest member is an exact tie (k = 4 and 7)
-        # that rounding breaks either way
+        # target, so its nearest member is an exact tie (k = 5 and 6): the
+        # pair is the one ARPACK converged
         w = dense.eigenvalues
-        windows = (w[3 : 3 + K], w[4 : 4 + K])
-        assert any(window.eigenvalues == pytest.approx(x, rel=1e-12, abs=0) for x in windows)
-        V = window.eigenvectors
-        residual = L @ V - V * window.eigenvalues
+        assert any(pair.eigenvalues == pytest.approx([x], rel=1e-12, abs=0) for x in w[4:6])
+        V = pair.eigenvectors
+        residual = L @ V - V * pair.eigenvalues
         assert np.abs(residual).max() < 1e-12
-        assert (window.backward_error <= BACKWARD_ERROR_TOL).all()
+        assert (pair.backward_error <= BACKWARD_ERROR_TOL).all()
 
     @pytest.mark.parametrize("family", ["tensor", "serendipity"])
     def test_explicit_zeros_do_not_change_window(self, family):
@@ -489,14 +541,15 @@ class TestDenseWindow:
 
     @DENSE_CASES
     def test_matches_shift_invert(self, monkeypatch, domain, bc, family, p, N, preset):
-        # the shift-invert window against the K nearest pairs of the dense result
+        # the shift-invert pair against the nearest pair of the dense result
         target = TARGET_PRESETS[preset]
         system = general(domain, bc, family, p, N)
         dense = solve_generalized(system, target=target)
         assert K < len(dense) == dense.ndofs <= eigensolve.DENSE_MAX_DOFS
         monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
         forced = solve_generalized(system, target=target)
-        expected = dense.eigenvalues[nearest(dense, target)]
+        assert len(forced) == 1
+        expected = dense.eigenvalues[nearest(dense, target, 1)]
         scale = np.maximum(np.abs(forced.eigenvalues), target)
         assert (np.abs(expected - forced.eigenvalues) <= 1e-10 * scale).all()
         assert (dense.backward_error <= BACKWARD_ERROR_TOL).all()
@@ -666,6 +719,11 @@ class TestCheckedValues:
     def test_position_past_the_result(self):
         with pytest.raises(InsufficientSpectrum, match="3 eigenvalues computed, 5 needed"):
             checked_values(values_result([1.0, 2.0, 3.0]), range(5))
+
+    def test_negative_position(self):
+        # -1 would index the last eigenvalue
+        with pytest.raises(InsufficientSpectrum, match="position -1 is negative"):
+            checked_values(values_result([1.0, 2.0, 3.0]), [0, -1])
 
     @pytest.mark.parametrize("values", [[], [1.0]])
     def test_no_position(self, values):
