@@ -1,31 +1,37 @@
 """Symmetric-definite generalized eigensolver L v = lambda M v.
 
 Every solve returns checked eigenpairs in one shape, `EigenResult`, from one
-of three paths.  The rule reads only the target and the system: a targeted
-solve of a system that carries a `LineFactor` (a tensor system on the unit
-square) is separable; a targeted solve of any other system of more than
-`DENSE_MAX_DOFS` DOFs is shift-invert; every other solve, and every solve
-without a target, is dense.  Nothing else selects a path, and
-`DENSE_MAX_DOFS` does not apply to a separable system.
+of three paths: one pair per targeted solve, every pair for a spectrum (a
+solve without a target).  The rule reads only the target and the system: a
+targeted solve of a system that carries a `LineFactor` (a tensor system on
+the unit square) is separable; a targeted solve of any other system of more
+than max(`NCV`, `DENSE_MAX_DOFS`) DOFs is shift-invert; every other solve,
+and every solve without a target, is dense.  Nothing else selects a path,
+and `DENSE_MAX_DOFS` does not apply to a separable system.  Each targeted
+path picks the pair nearest the target, a tie going to the smaller value
+(on shift-invert, to the pair ARPACK converges), and finishes that pair
+alone.
 
 * Dense: one `eigh(L, M)` call of the densified pencil gives every
-  eigenpair, and every one is returned.
+  eigenpair.  A spectrum returns every one; a targeted solve returns the
+  one whose LAPACK eigenvalue is nearest the target.
 * Separable: the system is the Kronecker square of its 1D pencil (S1, M1)
   up to a DOF permutation (`assembly` module docstring), so its eigenpairs
   are (mu_a + mu_b, u_a x u_b) for the eigenpairs (mu, u) of (S1, M1) --
   separation of variables, the fast diagonalization of Lynch, Rice &
   Thomas (Numer. Math. 6, 1964).  One `eigh(S1, M1)` call of at most
-  N p + 1 DOFs gives every mu; the `K` sums nearest the target give the
-  vectors U[ix, a] U[iy, b] on the system's DOFs.  No sparse factorization
-  and no Lanczos iteration run.
-* Shift-invert: more than `DENSE_MAX_DOFS` DOFs: the one eigenpair
-  nearest the target comes from shift-invert Lanczos about it (ARPACK
-  through `scipy.sparse.linalg.eigsh` with `sigma=target` and `NCV`
-  Lanczos vectors) on the assembled pencil.  A study point reads only the
-  eigenvalue nearest its target, so nothing else is computed: converging
-  two more pairs took 21 solves where one takes 7 (median over the
-  shift-invert points of the tier-1 grid), and ARPACK's cost is those
-  solves (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996).  When
+  N p + 1 DOFs gives every mu; the sum nearest the target gives the vector
+  U[ix, a] U[iy, b] on the system's DOFs.  No sparse factorization and no
+  Lanczos iteration run.
+* Shift-invert: more than `DENSE_MAX_DOFS` DOFs, and always more than the
+  `NCV` Lanczos vectors: the one eigenpair nearest the target comes from
+  shift-invert Lanczos about it (ARPACK through `scipy.sparse.linalg.eigsh`
+  with `sigma=target` and `NCV` Lanczos vectors) on the assembled pencil.
+  A study point reads only the eigenvalue nearest its target, so nothing
+  else is computed: converging two more pairs took 21 solves where one
+  takes 7 (median over the shift-invert points of the tier-1 grid), and
+  ARPACK's cost is those solves (Lehoucq & Sorensen, SIAM J. Matrix Anal.
+  Appl. 17, 1996).  When
   two eigenvalues lie equally far from the target (a double eigenvalue, or
   an exact tie on both sides), the result holds the one ARPACK converges;
   the copies of a double eigenvalue have one value.  The shifted matrix
@@ -46,21 +52,21 @@ without a target, is dense.  Nothing else selects a path, and
   1980).  A target at which a is exactly singular raises `SingularShift`.
 
 `DENSE_MAX_DOFS` = 200 was set where a three-pair shift-invert window cost
-as much as the dense path (160 to 225 DOFs).  Since shift-invert converges
-one pair, the two cost the same at about 100 DOFs on both domains.  Medians
-of 41 `solve_generalized` calls at 2 BLAS threads (Intel Xeon, 2 vCPUs),
-dense against shift-invert, ranges over 3 runs: 1.32-1.43 against
-1.66-1.99 ms at 79 DOFs (square Dirichlet serendipity at 2 pi^2),
-0.97 against 1.16-1.18 at 85 (L-shape Neumann serendipity at lambda_1),
-1.26-1.34 against 1.23-1.26 at 96 (L-shape tensor), 1.21-1.24 against
-1.39-1.45 at 97 (square); 1.43-1.47 against 1.27-1.86 at 106, 2.54-2.76
-against 1.38-1.49 at 133 and 5.32-5.40 against 1.80-1.91 at 185 (L-shape);
-4.75-5.03 against 2.16-2.60 at 153 and 20.9-23.2 against 2.89-3.05 at 366
-(square).  Below about 100 DOFs, ARPACK's fixed cost outweighs the O(n^3)
-of LAPACK.
+as much as the dense path (160 to 225 DOFs).  Since both paths finish one
+pair, the two cost the same at about 105 to 120 DOFs on both domains.
+Medians of 41 `solve_generalized` calls at 2 BLAS threads (Intel Xeon,
+2 vCPUs), dense against shift-invert, ranges over 3 runs: 0.78-0.93 against
+1.22-1.36 ms at 79 DOFs (square Dirichlet serendipity at 2 pi^2), 0.93-0.94
+against 1.22-1.37 at 85 (L-shape Neumann serendipity at lambda_1), 1.12-1.15
+against 1.24-1.42 at 96 (L-shape tensor), 1.09-1.17 against 1.43-1.56 at 97
+(square); 1.26-1.40 against 1.25-1.30 at 106 (L-shape) and 1.44-1.77
+against 1.42-1.58 at 118 (square); 1.96-2.35 against 1.40-1.56 at 133 and
+3.83-4.69 against 1.77-1.94 at 185 (L-shape); 2.55-3.20 against 1.65-2.46
+at 153 and 19.4-20.4 against 3.08-4.03 at 366 (square).  Below about 100
+DOFs, ARPACK's fixed cost outweighs the O(n^3) of LAPACK.
 
-All three paths pass their solver's vectors unchanged to one `_finish` on
-the assembled pencil: each pair must have a positive M-norm, its eigenvalue
+Every path passes the vectors it keeps, unchanged, to one `_finish` on the
+assembled pencil: each pair must have a positive M-norm, its eigenvalue
 is the Rayleigh quotient v^T L v / v^T M v of its vector (not the Ritz or
 LAPACK value), and its backward error ||L v - lambda M v||_1 /
 ((||L||_1 + |lambda| ||M||_1) ||v||_1) is recorded in the result.  The
@@ -69,9 +75,9 @@ matrix), not estimates.
 The accuracy gate, `checked_values`, returns the eigenvalues at the
 positions asked for, once no pair there has a backward error above
 `BACKWARD_ERROR_TOL`.  `select_near` reads the pair nearest a target through
-it, and `studies.spectrum_report` the first `count` pairs; no other pair is
-gated: the dense and separable results hold pairs no study reads, and a
-shift-invert result holds only the pair ARPACK converged.
+it, and `studies.spectrum_report` the first `count` pairs.  A targeted
+result holds one pair, the one `select_near` reads; of a spectrum only the
+pairs read are gated.
 
 The mass check is full on the dense and separable paths and partial on the
 shift-invert path.  The dense path's Cholesky factorization of M checks M in
@@ -108,11 +114,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .assembly import GlobalSystem
 
-#: Pairs of a separable window: a double eigenvalue and a neighbour.  A
-#: shift-invert result holds one pair, of a system of more than K DOFs.
-K = 3
-#: Lanczos vectors of a one-pair shift-invert solve, capped at the system's
-#: DOFs.  Applications of the shifted inverse over the 434 shift-invert
+#: Lanczos vectors of a one-pair shift-invert solve, which only a system of
+#: more than NCV DOFs takes.  Applications of the shifted inverse over the 434 shift-invert
 #: solves of the tier-1 grid (both domains and BCs, every preset, both
 #: families, p <= 6, N <= 5), in total and (in brackets) at the worst solve:
 #: 3 vectors 5,064 (35), 4 vectors 4,798 (27), 6 vectors 4,799 (22); a
@@ -146,7 +149,9 @@ class SingularShift(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Checked eigenpairs of an n-DOF pencil, ascending.
+    """Checked eigenpairs of an n-DOF pencil, ascending: one pair, the one
+    nearest the target, from a targeted solve, and every pair from a
+    spectrum.
 
     `eigenvectors[:, k]` is the vector of eigenvalue k, checked by
     `_finish`, and `backward_error[k]` its backward error.  An empty system
@@ -168,10 +173,10 @@ class EigenResult:
 def solve_generalized(system: GlobalSystem, target: float | None = None) -> EigenResult:
     """Checked eigenpairs of the assembled pencil (L, M).
 
-    With a target, the `K` pairs nearest it come from the 1D pencil when
-    the system carries a `LineFactor`, or the one pair nearest it from
-    sparse shift-invert when the system has more than `DENSE_MAX_DOFS`
-    DOFs.  Otherwise, and always without a target, every pair comes from one
+    With a target, the one pair nearest it comes from the 1D pencil when
+    the system carries a `LineFactor`, from sparse shift-invert when the
+    system has more than max(`NCV`, `DENSE_MAX_DOFS`) DOFs, and from one
+    dense `eigh` call otherwise.  Without a target every pair comes from one
     dense `eigh` call.  Each path returns Rayleigh quotients, vectors and
     backward errors through one `_finish` (module docstring).
     """
@@ -180,9 +185,9 @@ def solve_generalized(system: GlobalSystem, target: float | None = None) -> Eige
         return EigenResult(np.empty(0), np.empty((0, 0)), np.empty(0))
     if target is not None and system.factor is not None:
         return _solve_separable(system, target)
-    if target is not None and n > max(K, DENSE_MAX_DOFS):
+    if target is not None and n > max(NCV, DENSE_MAX_DOFS):
         return _solve_near(system, target)
-    return _solve_dense(system)
+    return _solve_dense(system, target)
 
 
 def _eigh(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,25 +204,25 @@ def _eigh(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _solve_dense(system: GlobalSystem) -> EigenResult:
-    """Every eigenpair from one dense `eigh` of the pencil, checked by
-    `_finish`."""
-    _, V = _eigh(system.L.toarray(), system.M.toarray())
-    return _finish(system, V)
+def _solve_dense(system: GlobalSystem, target: float | None) -> EigenResult:
+    """One dense `eigh` of the pencil; every eigenpair without a target, the
+    one nearest it with one, checked by `_finish`."""
+    w, V = _eigh(system.L.toarray(), system.M.toarray())
+    return _finish(system, V if target is None else V[:, _nearest(w, target)])
 
 
 def _solve_separable(system: GlobalSystem, target: float) -> EigenResult:
-    """The K eigenpairs nearest the target from the system's 1D pencil,
+    """The eigenpair nearest the target from the system's 1D pencil,
     checked by `_finish` on the assembled one.
 
     The eigenpairs of the Kronecker pencil are (mu_a + mu_b, u_a x u_b) for
-    the eigenpairs (mu, u) of (S1, M1); the K sums nearest the target give
-    the vectors U[ix, a] U[iy, b] (module docstring).
+    the eigenpairs (mu, u) of (S1, M1); the sum nearest the target gives
+    the vector U[ix, a] U[iy, b] (module docstring).
     """
     line = system.factor
     mu, U = _eigh(line.stiffness, line.mass)
     sums = (mu[:, None] + mu).ravel()
-    a, b = np.divmod(_nearest(sums, target, K), mu.size)
+    a, b = np.divmod(_nearest(sums, target), mu.size)
     V = U[line.ix[:, None], a] * U[line.iy[:, None], b]
     return _finish(system, V)
 
@@ -270,7 +275,7 @@ def _solve_near(system: GlobalSystem, target: float) -> EigenResult:
         # with sigma and OPinv, eigsh reads only the shape and dtype of its
         # first argument; the Ritz value is replaced by a Rayleigh quotient
         # in _finish
-        _, V = eigsh(system.L, 1, M=mass, sigma=target, v0=v0, OPinv=OPinv, ncv=min(NCV, n))
+        _, V = eigsh(system.L, 1, M=mass, sigma=target, v0=v0, OPinv=OPinv, ncv=NCV)
     except ArpackNoConvergence as exc:
         raise SolveNotConverged(
             f"shift-invert solve about {target} did not converge (dimension {n})"
@@ -300,10 +305,10 @@ def _norm1(A) -> float:
     return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[1]).max()
 
 
-def _nearest(w: np.ndarray, target: float, count: int) -> np.ndarray:
-    """Indices of the `count` entries of w closest to the target, nearest
-    first; ties in distance break toward the smaller value."""
-    return np.lexsort((w, np.abs(w - target)))[:count]
+def _nearest(w: np.ndarray, target: float) -> np.ndarray:
+    """The index of the entry of w closest to the target, as a one-element
+    array; a tie in distance breaks toward the smaller value."""
+    return np.lexsort((w, np.abs(w - target)))[:1]
 
 
 def checked_values(result: EigenResult, positions) -> np.ndarray:
@@ -329,6 +334,8 @@ def checked_values(result: EigenResult, positions) -> np.ndarray:
 def select_near(result: EigenResult, target: float) -> list[float]:
     """The eigenvalue closest to the target, read through `checked_values`,
     as a one-element list; ties in distance break toward the smaller
-    eigenvalue.  A shift-invert result holds one pair, so there an exact tie
-    has already gone to the pair ARPACK converged (module docstring)."""
-    return list(checked_values(result, _nearest(result.eigenvalues, target, 1)))
+    eigenvalue.  A targeted result holds one pair, so this reads the pair its
+    path picked: on shift-invert an exact tie has already gone to the pair
+    ARPACK converged (module docstring).  Of a spectrum it picks among every
+    pair."""
+    return list(checked_values(result, _nearest(result.eigenvalues, target)))

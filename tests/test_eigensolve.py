@@ -20,7 +20,7 @@ from srdpeig.assembly import GlobalSystem, assemble, reference_matrices
 import srdpeig.eigensolve as eigensolve
 from srdpeig.eigensolve import (
     BACKWARD_ERROR_TOL,
-    K,
+    NCV,
     EigenResult,
     InsufficientSpectrum,
     MassNotPD,
@@ -60,13 +60,13 @@ def general(domain: str, bc: str, family: str, p: int, N: int) -> GlobalSystem:
 
 @pytest.fixture
 def shift_invert(monkeypatch):
-    """Send every targeted solve of more than K DOFs that has no
+    """Send every targeted solve of more than NCV DOFs that has no
     `LineFactor` to shift-invert.  Tests that reach this path with a tensor
     system on the square solve it without its factor (`general`)."""
     monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
 
 
-def nearest(result: EigenResult, target: float, count: int = K) -> np.ndarray:
+def nearest(result: EigenResult, target: float, count: int) -> np.ndarray:
     """Ascending indices of the `count` eigenvalues of a result nearest the
     target, whose pairs must pass the accuracy gate; ties in distance go to
     the smaller eigenvalue."""
@@ -168,9 +168,7 @@ class TestSolveGeneralized:
         ids=["separable", "dense", "shift-invert", "separable-one-dof", "dense-one-dof"],
     )
     def test_targeted_result_carries_checked_vectors(self, request, path, bc, p, N):
-        # all n vectors on the dense path, K (or all n when n <= K) on the
-        # separable one and one on shift-invert; in the order of the
-        # eigenvalues
+        # one vector on every path, even where the system has one DOF
         if path == "shift-invert":
             request.getfixturevalue("shift_invert")
         build = assembled if path == "separable" else general
@@ -178,8 +176,7 @@ class TestSolveGeneralized:
         result = solve_generalized(system, target=FIVE_PI_SQ)
         n = system.dimension
         V = result.eigenvectors
-        columns = {"dense": n, "separable": min(K, n), "shift-invert": 1}[path]
-        assert V.shape == (n, columns)
+        assert V.shape == (n, 1)
         residual = system.L @ V - (system.M @ V) * result.eigenvalues
         assert np.abs(residual).max() < 1e-8 * result.eigenvalues.max()
         assert (result.backward_error <= BACKWARD_ERROR_TOL).all()
@@ -214,19 +211,20 @@ class TestTargetedSolve:
         assert abs(theirs[1] - theirs[0]) < 1e-9 * theirs[0]
 
     def test_double_eigenvalue_on_assembled_lshape(self):
-        # 532 DOFs, past DENSE_MAX_DOFS: the dense window about pi^2 holds
-        # both copies of the double eigenvalue and lambda_5 = 11.3895..., and
-        # its two pi^2 vectors span the eigenspace; the shift-invert pair has
-        # the value of both copies and passes the gate
+        # 532 DOFs, past DENSE_MAX_DOFS: the two eigenvalues of the full
+        # spectrum nearest pi^2 are both copies of the double eigenvalue, and
+        # their vectors span the eigenspace; the shift-invert pair has the
+        # value of both copies and passes the gate
         system = assembled("lshape", "neumann", "serendipity", 6, 3)
         assert system.dimension == 532
         target = TARGET_PRESETS["lshape_neumann_3"]
         pair = solve_generalized(system, target=target)
         dense = solve_generalized(system)
-        expected = dense.eigenvalues[nearest(dense, target)]
-        assert expected[:2] == pytest.approx([math.pi**2] * 2, rel=1e-10)
-        assert np.repeat(pair.eigenvalues, 2) == pytest.approx(expected[:2], rel=1e-10, abs=0)
-        V = dense.eigenvectors[:, nearest(dense, target, 2)]
+        copies = nearest(dense, target, 2)
+        expected = dense.eigenvalues[copies]
+        assert expected == pytest.approx([math.pi**2] * 2, rel=1e-10)
+        assert np.repeat(pair.eigenvalues, 2) == pytest.approx(expected, rel=1e-10, abs=0)
+        V = dense.eigenvectors[:, copies]
         gram = V.T @ (system.M @ V)
         assert np.linalg.det(gram) > 0.5 * gram[0, 0] * gram[1, 1]
         checked_values(pair, range(len(pair)))
@@ -270,9 +268,9 @@ class TestTargetedSolve:
         # at p = 6, N = 2 the target lies about 1e-7 from the computed double
         # 5 pi^2; shift-invert converges one copy, which the gate reads
         system = general("square", "dirichlet", "tensor", p, 2)
-        window = solve_generalized(system, target=FIVE_PI_SQ)
+        pair = solve_generalized(system, target=FIVE_PI_SQ)
         expected = select_near(solve_generalized(system), FIVE_PI_SQ)[0]
-        assert abs(select_near(window, FIVE_PI_SQ)[0] - expected) <= 1e-10 * expected
+        assert abs(select_near(pair, FIVE_PI_SQ)[0] - expected) <= 1e-10 * expected
 
     @staticmethod
     def indefinite_mass_system() -> GlobalSystem:
@@ -341,31 +339,17 @@ class TestTargetedSolve:
         with pytest.raises(SolveNotConverged, match="backward error"):
             select_near(result, TWO_PI_SQ)
 
-    @pytest.mark.parametrize(
-        "pick, selected", [(np.argmin, True), (np.argmax, False)], ids=["nearest", "farthest"]
-    )
-    def test_gate_covers_selected_pairs_only(self, monkeypatch, pick, selected):
-        # perturb one pair of a K-pair window: the one nearest the target
-        # (which select_near returns) or the farthest (which it does not).
-        # A shift-invert result holds the nearest pair only, so the window is
-        # the separable one
+    def test_gate_covers_the_selected_pair(self, monkeypatch):
+        # perturb the one pair of a separable result as it reaches _finish:
+        # select_near reads that pair, so the gate fires.  Unread pairs of a
+        # full result are not gated (TestCheckedValues)
         system = assembled("square", "dirichlet", "tensor", 2, 3)
-        expected = select_near(solve_generalized(system), TWO_PI_SQ)
         real = eigensolve._finish
-
-        def perturbed(system, V):
-            w = np.einsum("ij,ij->j", V, system.L @ V) / np.einsum("ij,ij->j", V, system.M @ V)
-            return real(system, spoil(V, pick(np.abs(w - TWO_PI_SQ))))
-
-        monkeypatch.setattr(eigensolve, "_finish", perturbed)
-        window = solve_generalized(system, target=TWO_PI_SQ)
-        assert len(window) == K
-        assert (window.backward_error > BACKWARD_ERROR_TOL).sum() == 1
-        if selected:
-            with pytest.raises(SolveNotConverged, match="backward error"):
-                select_near(window, TWO_PI_SQ)
-        else:
-            assert select_near(window, TWO_PI_SQ) == pytest.approx(expected, rel=1e-10, abs=0)
+        monkeypatch.setattr(eigensolve, "_finish", lambda system, V: real(system, spoil(V)))
+        pair = solve_generalized(system, target=TWO_PI_SQ)
+        assert len(pair) == 1 and pair.backward_error[0] > BACKWARD_ERROR_TOL
+        with pytest.raises(SolveNotConverged, match="backward error"):
+            select_near(pair, TWO_PI_SQ)
 
     # on both systems scipy's onenormest underestimated a 1-norm, of M by
     # 6.3% and of L by 14%
@@ -433,9 +417,9 @@ class TestTargetedSolve:
         target = TARGET_PRESETS["lshape_neumann_1"]
         expected = solve_generalized(system, target=target)
         for pencil in (GlobalSystem(M, system.L), GlobalSystem(M, L)):
-            window = solve_generalized(pencil, target=target)
-            assert np.array_equal(window.eigenvalues, expected.eigenvalues)
-            assert np.array_equal(window.backward_error, expected.backward_error)
+            pair = solve_generalized(pencil, target=target)
+            assert np.array_equal(pair.eigenvalues, expected.eigenvalues)
+            assert np.array_equal(pair.backward_error, expected.backward_error)
 
     def test_pencil_drops_exact_zeros(self, monkeypatch):
         # tensor p = 6 on the L-shape at N = 5: 75,840 of the 173,761 stored
@@ -508,9 +492,9 @@ class TestTargetedSolve:
         # midpoint-derivative DOFs; the balanced pencil keeps the targeted
         # eigenvalue at the dense solve's accuracy
         target = TARGET_PRESETS["lshape_neumann_1"]
-        window = solve_configuration("lshape", "neumann", "tensor", 8, 2, target=target)
+        pair = solve_configuration("lshape", "neumann", "tensor", 8, 2, target=target)
         dense = solve_configuration("lshape", "neumann", "tensor", 8, 2)
-        ours, theirs = select_near(window, target)[0], select_near(dense, target)[0]
+        ours, theirs = select_near(pair, target)[0], select_near(dense, target)[0]
         assert abs(ours - theirs) <= 1e-11 * theirs
 
     def test_no_convergence_raises(self, monkeypatch):
@@ -537,36 +521,39 @@ DENSE_CASES = pytest.mark.parametrize(
 
 class TestDenseWindow:
     """Targeted solves of at most DENSE_MAX_DOFS DOFs: one LAPACK call whose
-    every pair is finished and checked, as the full spectrum's are."""
+    pair nearest the target is finished and checked, as the full spectrum's
+    pairs are."""
 
     @DENSE_CASES
     def test_matches_shift_invert(self, monkeypatch, domain, bc, family, p, N, preset):
-        # the shift-invert pair against the nearest pair of the dense result
+        # the shift-invert pair against the dense one
         target = TARGET_PRESETS[preset]
         system = general(domain, bc, family, p, N)
         dense = solve_generalized(system, target=target)
-        assert K < len(dense) == dense.ndofs <= eigensolve.DENSE_MAX_DOFS
+        assert len(dense) == 1 and NCV < dense.ndofs <= eigensolve.DENSE_MAX_DOFS
         monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
         forced = solve_generalized(system, target=target)
         assert len(forced) == 1
-        expected = dense.eigenvalues[nearest(dense, target, 1)]
         scale = np.maximum(np.abs(forced.eigenvalues), target)
-        assert (np.abs(expected - forced.eigenvalues) <= 1e-10 * scale).all()
+        assert (np.abs(dense.eigenvalues - forced.eigenvalues) <= 1e-10 * scale).all()
         assert (dense.backward_error <= BACKWARD_ERROR_TOL).all()
 
     @DENSE_CASES
     def test_targeted_equals_untargeted(self, domain, bc, family, p, N, preset):
-        # a dense result does not depend on the target; select_near on it picks,
-        # bit for bit, what a K-pair window of the same eigh call gives
+        # the targeted pair is a pair of the full spectrum: the column of the
+        # same eigh call whose LAPACK value is nearest the target, bit for
+        # bit, and the eigenvalue nearest the target up to the order in which
+        # one column and many are summed.  At a double eigenvalue the other
+        # copy's Rayleigh quotient can be the nearer one
         target = TARGET_PRESETS[preset]
         system = general(domain, bc, family, p, N)
         targeted, full = solve_generalized(system, target=target), solve_generalized(system)
-        for field in ("eigenvalues", "eigenvectors", "backward_error"):
-            assert np.array_equal(getattr(targeted, field), getattr(full, field))
         w, V = scipy.linalg.eigh(system.L.toarray(), system.M.toarray())
-        window_columns = np.lexsort((w, np.abs(w - target)))[:K]
-        window = eigensolve._finish(system, V[:, window_columns])
-        assert select_near(targeted, target) == select_near(window, target)
+        v = V[:, np.lexsort((w, np.abs(w - target)))[0]]
+        assert np.array_equal(targeted.eigenvectors[:, 0], v)
+        assert any(np.array_equal(v, u) for u in full.eigenvectors.T)
+        expected = full.eigenvalues[nearest(full, target, 1)]
+        assert targeted.eigenvalues == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_gate_fires_when_eigh_is_perturbed(self, monkeypatch):
         real = eigensolve.eigh
@@ -583,7 +570,7 @@ class TestDenseWindow:
             select_near(result, TWO_PI_SQ)
 
     def test_small_system_returns_all_pairs(self):
-        # one free DOF: the window is the whole spectrum, still checked
+        # one free DOF: the pair is the whole spectrum, still checked
         system = general("square", "dirichlet", "tensor", 1, 2)
         result = solve_generalized(system, target=TWO_PI_SQ)
         assert result.eigenvalues.tolist() == pytest.approx([24.0], rel=1e-12)
@@ -591,14 +578,18 @@ class TestDenseWindow:
 
     def test_neumann_target_zero_returns_constant_mode(self, monkeypatch):
         # L is singular: the dense path returns its constant mode, where
-        # shift-invert about 0 cannot factor L - 0 M
+        # shift-invert about 0 cannot factor L - 0 M.  A system of at most
+        # NCV DOFs takes the dense path whatever DENSE_MAX_DOFS is
+        monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
         system = general("square", "neumann", "tensor", 1, 1)
         result = solve_generalized(system, target=0.0)
         assert result.ndofs == 4
         assert abs(select_near(result, 0.0)[0]) < 1e-12
-        monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
+        # serendipity p = 2, N = 1: L - 0 M has an exactly zero pivot
+        larger = assembled("square", "neumann", "serendipity", 2, 1)
+        assert larger.dimension == 8
         with pytest.raises(SingularShift):
-            solve_generalized(system, target=0.0)
+            solve_generalized(larger, target=0.0)
 
 
 class TestSeparable:
@@ -608,9 +599,7 @@ class TestSeparable:
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("p", [*P_RANGE, 7, 8])
     def test_agrees_with_general_path(self, bc, p):
-        # only the selected members are compared: the far member of a window
-        # can be a near-tie (Dirichlet p = 6, N = 5 about 5 pi^2 keeps 2 pi^2
-        # on one path and 8 pi^2 on the other)
+        # each path returns its one pair nearest the target
         for N in N_RANGE:
             if (bc, p, N) == ("dirichlet", 1, 1):
                 continue  # no free DOF
@@ -624,15 +613,17 @@ class TestSeparable:
                 assert abs(lam - expected) <= 1e-12 * max(abs(expected), target)
 
     def test_both_copies_of_five_pi_sq(self, monkeypatch):
-        # the separable path ignores DENSE_MAX_DOFS
+        # the separable path ignores DENSE_MAX_DOFS.  The full spectrum
+        # holds both copies of 5 pi^2; the separable pair has the value of
+        # both
         monkeypatch.setattr(eigensolve, "DENSE_MAX_DOFS", 0)
         system = assembled("square", "dirichlet", "tensor", 3, 3)
-        window = solve_generalized(system, target=FIVE_PI_SQ)
+        pair = solve_generalized(system, target=FIVE_PI_SQ)
         dense = solve_generalized(system)
-        ours = window.eigenvalues[nearest(window, FIVE_PI_SQ, 2)]
+        ours = pair.eigenvalues[nearest(pair, FIVE_PI_SQ, 1)]
         theirs = dense.eigenvalues[nearest(dense, FIVE_PI_SQ, 2)]
-        assert ours == pytest.approx(theirs, rel=1e-10, abs=0)
-        assert abs(ours[1] - ours[0]) < 1e-9 * ours[0]
+        assert np.repeat(ours, 2) == pytest.approx(theirs, rel=1e-10, abs=0)
+        assert abs(theirs[1] - theirs[0]) < 1e-9 * theirs[0]
 
     def test_small_system_returns_all_pairs(self):
         # one free DOF: the 1D pencil has one free DOF too
@@ -693,13 +684,11 @@ class TestRayleighQuotient:
         dm = build_dof_map(mesh, "tensor", 5)
         system = assemble(mesh, dm, reference_matrices("tensor", 5), "neumann")
         result = solve_generalized(system, target=target)
-        for k in nearest(result, target):
-            exact = exact_rayleigh_quotient(system, result.eigenvectors[:, k])
-            assert abs(result.eigenvalues[k] - exact) <= 1e-14 * max(abs(exact), target)
+        k = nearest(result, target, 1)[0]
+        exact = exact_rayleigh_quotient(system, result.eigenvectors[:, k])
+        assert abs(result.eigenvalues[k] - exact) <= 1e-14 * max(abs(exact), target)
         if threshold:
             lapack = scipy.linalg.eigh(system.L.toarray(), system.M.toarray())[0]
-            k = nearest(result, target, 1)[0]
-            exact = exact_rayleigh_quotient(system, result.eigenvectors[:, k])
             lapack_nearest = lapack[np.argmin(np.abs(lapack - target))]
             assert abs(lapack_nearest - exact) > 1e-14 * exact
 

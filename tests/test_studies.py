@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from oracles import LShapeParticularSolutions, line_neumann_mu_1
 import srdpeig.studies as studies
@@ -312,28 +311,26 @@ class TestSameApproximationFewerDofs:
     So the pi^2 rows of both families are the 1D eigenvalue mu_1, while
     serendipity has fewer DOFs."""
 
-    def test_pi_sq_rows_are_the_1d_eigenvalue(self):
-        mesh = build_mesh("square", 2)
-        for p, by_family in lshape_neumann_p_rows(math.pi**2).items():
-            line = assemble(
-                mesh, build_dof_map(mesh, "tensor", p), reference_matrices("tensor", p), "neumann"
-            ).factor
-            mu_1 = scipy.linalg.eigh(line.stiffness, line.mass, eigvals_only=True)[1]
-            for family, row in by_family.items():
-                assert row.lambda_h == pytest.approx(mu_1, rel=1e-12, abs=0), (family, p)
-            assert by_family["serendipity"].ndofs < by_family["tensor"].ndofs
-
     @pytest.mark.parametrize(
         "p, dofs, gap",
-        [(6, (481, 253), "3.698e-10"), (7, (645, 333), "1.177e-12"), (8, (833, 425), "2.860e-15")],
-        ids=["p6", "p7", "p8"],
+        [
+            (2, (65, 53), "7.424e-02"),
+            (3, (133, 85), "1.348e-03"),
+            (4, (225, 129), "1.348e-05"),
+            (5, (341, 185), "8.503e-08"),
+            (6, (481, 253), "3.698e-10"),
+            (7, (645, 333), "1.177e-12"),
+            (8, (833, 425), "2.860e-15"),
+        ],
+        ids=["p2", "p3", "p4", "p5", "p6", "p7", "p8"],
     )
     def test_pi_sq_rows_are_the_exact_1d_eigenvalue(self, p, dofs, gap):
         # mu_1 of the exact 1D pencil at N = 2 lies above pi^2, as a
         # conforming method's eigenvalue must; the float rows are checked
-        # against it, not against pi^2
+        # against it, not against pi^2, and serendipity has fewer DOFs
         lo, hi = line_neumann_mu_1(p)
         assert lo > PI**2 and f"{float(lo - PI**2):.3e}" == gap
+        assert dofs[1] < dofs[0]
         for family, ndofs in zip(("tensor", "serendipity"), dofs):
             # StudySpec sweeps p <= 6, so each point is solved by configuration
             result = studies.solve_configuration(
