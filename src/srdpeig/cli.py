@@ -72,16 +72,20 @@ def format_basis_records(basis: BasisArray) -> str:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    target = studies.resolve_target(args.target)
+    # the ranges through the module at call time, so that a caller that
+    # narrows studies.P_RANGE and N_RANGE (bench/smoke.py) narrows the sweep
+    if args.sweep == "p":
+        if args.fixed not in studies.N_RANGE:
+            raise ValueError(f"fixed N must be in {studies.N_RANGE}")
+        ps, Ns = studies.P_RANGE, (args.fixed,)
+    else:
+        if args.fixed not in studies.P_RANGE:
+            raise ValueError(f"fixed p must be in {studies.P_RANGE}")
+        ps, Ns = (args.fixed,), studies.N_RANGE
     families = FAMILIES if args.family == "both" else (args.family,)
-    spec = studies.StudySpec(
-        domain=args.domain,
-        bc=args.bc,
-        families=families,
-        target=studies.resolve_target(args.target),
-        sweep=args.sweep,
-        fixed=args.fixed,
-    )
-    rows = studies.run_study(spec)
+    points = tuple((family, p, N) for family in families for p in ps for N in Ns)
+    rows = studies.run_study(studies.StudySpec(args.domain, args.bc, target, points))
     # through the module, so that a tracer that rebinds these attributes
     # of `studies` (bench/tracing.py) sees the writes
     studies.write_csv(rows, args.csv)

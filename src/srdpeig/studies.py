@@ -1,11 +1,13 @@
 """Refinement studies: eigenvalue error versus degrees of freedom.
 
-A study fixes a domain, boundary condition, and target eigenvalue, then
-sweeps either the polynomial order (p = 1..6 at fixed mesh) or the mesh
-resolution (N = 1..5 at fixed order) for one or both element families and
-reports the absolute eigenvalue error against the number of free DOFs.
-Degenerate Dirichlet cases where elimination empties the system are skipped
-with a logged notice rather than failing the sweep.
+A study fixes a domain, boundary condition, and target eigenvalue, and
+solves a list of (family, p, N) points, any orders p >= 1 and mesh sizes
+N >= 1, reporting at each the absolute eigenvalue error against the number
+of free DOFs.  `srdp-eig study` turns its sweep options into such a list: a
+p-sweep over `P_RANGE` at fixed N or an h-sweep over `N_RANGE` at fixed p,
+for one or both element families.  Degenerate Dirichlet cases where
+elimination empties the system are skipped with a logged notice rather than
+failing the study.
 
 `run_study` returns the rows and writes nothing; `write_csv` and
 `plot_convergence` turn rows into a CSV file and an SVG chart, and
@@ -51,6 +53,8 @@ from .svgplot import line_chart
 
 logger = logging.getLogger(__name__)
 
+#: The orders and mesh sizes `srdp-eig study` sweeps; the CLI reads them
+#: through this module when it runs, so a caller may narrow them here.
 P_RANGE = (1, 2, 3, 4, 5, 6)
 N_RANGE = (1, 2, 3, 4, 5)
 
@@ -91,14 +95,13 @@ def resolve_target(target: str | float) -> float:
 
 @dataclass(frozen=True)
 class StudySpec:
-    """One experiment: domain, BC, families, target, and sweep description."""
+    """One experiment: domain, BC and target, and the (family, p, N) points
+    it solves, in row order.  Bad input raises ValueError before any solve."""
 
     domain: str
     bc: str
-    families: tuple[str, ...]
     target: float
-    sweep: str  # 'p' (orders 1..6 at fixed N) or 'h' (N 1..5 at fixed p)
-    fixed: int
+    points: tuple[tuple[str, int, int], ...]
 
     def __post_init__(self):
         if not math.isfinite(self.target):
@@ -107,25 +110,15 @@ class StudySpec:
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        if self.sweep not in ("p", "h"):
-            raise ValueError("sweep must be 'p' or 'h'")
-        if not self.families:
-            raise ValueError("families must name at least one family")
-        if len(set(self.families)) != len(self.families):
-            raise ValueError(f"families repeat a family: {self.families}")
-        for family in self.families:
+        if not self.points:
+            raise ValueError("points must name at least one point")
+        if len(set(self.points)) != len(self.points):
+            raise ValueError(f"points repeat a point: {self.points}")
+        for family, p, N in self.points:
             if family not in FAMILIES:
                 raise ValueError(f"unknown family {family!r}")
-        if self.sweep == "p" and self.fixed not in N_RANGE:
-            raise ValueError(f"fixed N must be in {N_RANGE}")
-        if self.sweep == "h" and self.fixed not in P_RANGE:
-            raise ValueError(f"fixed p must be in {P_RANGE}")
-
-    def points(self) -> list[tuple[int, int]]:
-        """Sweep points as (p, N) pairs."""
-        if self.sweep == "p":
-            return [(p, self.fixed) for p in P_RANGE]
-        return [(self.fixed, N) for N in N_RANGE]
+            if p < 1 or N < 1:
+                raise ValueError(f"p and N must be >= 1, got p={p} N={N}")
 
 
 @dataclass(frozen=True)
@@ -171,37 +164,33 @@ def _naming_the_point(family: str, p: int, N: int, domain: str, bc: str):
 
 
 def run_study(spec: StudySpec) -> list[StudyRow]:
-    """Rows of every sweep point for every family, in sweep order; no file
-    is written.
+    """One row per point of `spec.points`, in that order; no file is
+    written.
 
     Points whose Dirichlet system is empty are skipped and logged.  A solve
     or a selected pair that fails its checks raises its own exception type,
     the point named first (`_naming_the_point`).  Each distinct mesh is
-    built once and shared by every family and order.
+    built once and shared by every point on it.
     """
-    points = spec.points()
-    meshes = {N: build_mesh(spec.domain, N) for N in sorted({N for _, N in points})}
+    meshes = {N: build_mesh(spec.domain, N) for N in sorted({N for *_, N in spec.points})}
     rows: list[StudyRow] = []
-    for family in spec.families:
-        for p, N in points:
-            try:
-                with _naming_the_point(family, p, N, spec.domain, spec.bc):
-                    result = _solve_on_mesh(meshes[N], spec.bc, family, p, spec.target)
-                    lam = select_near(result, spec.target)[0]
-            except EmptySystem as exc:
-                logger.warning(
-                    "skipping degenerate case %s p=%d N=%d (%s, %s): %s",
-                    family,
-                    p,
-                    N,
-                    spec.domain,
-                    spec.bc,
-                    exc,
-                )
-                continue
-            rows.append(
-                StudyRow(family, p, N, result.ndofs, lam, abs(lam - spec.target))
+    for family, p, N in spec.points:
+        try:
+            with _naming_the_point(family, p, N, spec.domain, spec.bc):
+                result = _solve_on_mesh(meshes[N], spec.bc, family, p, spec.target)
+                lam = select_near(result, spec.target)[0]
+        except EmptySystem as exc:
+            logger.warning(
+                "skipping degenerate case %s p=%d N=%d (%s, %s): %s",
+                family,
+                p,
+                N,
+                spec.domain,
+                spec.bc,
+                exc,
             )
+            continue
+        rows.append(StudyRow(family, p, N, result.ndofs, lam, abs(lam - spec.target)))
     return rows
 
 
@@ -209,7 +198,7 @@ CSV_HEADER = "family,p,N,ndofs,lambda_h,error"
 
 
 def write_csv(rows: list[StudyRow], path: str | Path) -> None:
-    """Deterministic CSV: header plus one row per sweep point, 17 significant
+    """Deterministic CSV: header plus one line per row, 17 significant
     digits for floats."""
     try:
         with open(path, "w", encoding="utf-8") as fh:

@@ -155,6 +155,25 @@ def test_study_target_near_eigenvalue_exits_zero(tmp_path):
         assert abs(row.lambda_h - expected) <= 1e-10 * expected
 
 
+@pytest.mark.parametrize(
+    "sweep, fixed, allowed",
+    [
+        ("p", "9", "fixed N must be in (1, 2, 3, 4, 5)"),
+        ("h", "7", "fixed p must be in (1, 2, 3, 4, 5, 6)"),
+    ],
+    ids=["p-sweep-N9", "h-sweep-p7"],
+)
+def test_study_fixed_out_of_range_exits_nonzero(tmp_path, capsys, sweep, fixed, allowed):
+    csv_path = tmp_path / "never.csv"
+    argv = ["study", "--domain", "square", "--bc", "neumann", "--family", "both"]
+    argv += ["--sweep", sweep, "--fixed", fixed, "--target", "two_pi_sq", "--csv", str(csv_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert allowed in captured.err
+    assert not csv_path.exists()
+
+
 def test_basis_text(capsys):
     assert main(["basis", "--family", "serendipity", "--p", "2"]) == 0
     out = capsys.readouterr().out

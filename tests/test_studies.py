@@ -12,6 +12,7 @@ import sys
 import textwrap
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,12 @@ import pytest
 from oracles import LShapeParticularSolutions, line_neumann_mu_1
 import srdpeig.studies as studies
 from srdpeig.assembly import assemble, reference_matrices
+from srdpeig.basis2d import FAMILIES
 from srdpeig.eigensolve import InsufficientSpectrum, select_near, solve_generalized
 from srdpeig.mesh import build_dof_map, build_mesh, dof_totals
 from srdpeig.studies import (
     CSV_HEADER,
+    N_RANGE,
     P_RANGE,
     StudyRow,
     StudySpec,
@@ -40,6 +43,13 @@ from srdpeig.studies import (
 TWO_PI_SQ = 2 * math.pi**2
 #: pi to 50 digits, so that PI**2 is exact far past every difference below
 PI = Fraction("3.14159265358979323846264338327950288419716939937510")
+
+
+def sweep_points(sweep: str, fixed: int, families=FAMILIES) -> tuple[tuple[str, int, int], ...]:
+    """The points `srdp-eig study` solves: a p-sweep over P_RANGE at N =
+    fixed or an h-sweep over N_RANGE at p = fixed, family by family."""
+    ps, Ns = (P_RANGE, [fixed]) if sweep == "p" else ([fixed], N_RANGE)
+    return tuple(product(families, ps, Ns))
 
 
 class TestTargets:
@@ -159,14 +169,7 @@ class TestExactSpectrum:
 
 class TestRunStudy:
     def test_p_sweep_cardinality(self):
-        spec = StudySpec(
-            domain="square",
-            bc="neumann",
-            families=("tensor", "serendipity"),
-            target=TWO_PI_SQ,
-            sweep="p",
-            fixed=2,
-        )
+        spec = StudySpec("square", "neumann", TWO_PI_SQ, sweep_points("p", 2))
         rows = run_study(spec)
         assert len(rows) == 12
         assert [r.family for r in rows[:6]] == ["tensor"] * 6
@@ -174,28 +177,13 @@ class TestRunStudy:
         assert all(r.N == 2 for r in rows)
 
     def test_ndofs_match_closed_form(self):
-        spec = StudySpec(
-            domain="lshape",
-            bc="neumann",
-            families=("serendipity",),
-            target=TWO_PI_SQ,
-            sweep="p",
-            fixed=1,
-        )
+        spec = StudySpec("lshape", "neumann", TWO_PI_SQ, sweep_points("p", 1, ["serendipity"]))
         for row in run_study(spec):
             mesh = build_mesh("lshape", row.N)
             assert row.ndofs == dof_totals(mesh, row.family, row.p)
 
     def test_serendipity_needs_fewer_dofs(self):
-        spec = StudySpec(
-            domain="square",
-            bc="neumann",
-            families=("tensor", "serendipity"),
-            target=TWO_PI_SQ,
-            sweep="p",
-            fixed=2,
-        )
-        rows = run_study(spec)
+        rows = run_study(StudySpec("square", "neumann", TWO_PI_SQ, sweep_points("p", 2)))
         tensor = {r.p: r.ndofs for r in rows if r.family == "tensor"}
         ser = {r.p: r.ndofs for r in rows if r.family == "serendipity"}
         assert tensor[1] == ser[1]
@@ -212,17 +200,10 @@ class TestRunStudy:
             return real(domain, N)
 
         monkeypatch.setattr(studies, "build_mesh", counted)
-        spec = StudySpec(
-            domain="square",
-            bc="neumann",
-            families=("tensor", "serendipity"),
-            target=TWO_PI_SQ,
-            sweep=sweep,
-            fixed=fixed,
-        )
+        spec = StudySpec("square", "neumann", TWO_PI_SQ, sweep_points(sweep, fixed))
         rows = run_study(spec)
         assert len(built) == meshes == len(set(built))
-        assert len(rows) == 2 * len(spec.points())
+        assert len(rows) == len(spec.points)
 
     def test_large_mesh_dof_ratio(self):
         # at p = 6 the per-element ratio is 30/49; globally the shared
@@ -233,47 +214,38 @@ class TestRunStudy:
         assert ratio < 0.55
 
     def test_degenerate_dirichlet_skipped_with_notice(self, caplog):
-        spec = StudySpec(
-            domain="square",
-            bc="dirichlet",
-            families=("tensor",),
-            target=TWO_PI_SQ,
-            sweep="h",
-            fixed=1,
-        )
+        spec = StudySpec("square", "dirichlet", TWO_PI_SQ, sweep_points("h", 1, ["tensor"]))
         with caplog.at_level(logging.WARNING, logger="srdpeig.studies"):
             rows = run_study(spec)
         assert [r.N for r in rows] == [2, 3, 4, 5]  # N = 1 has no free DOFs
         assert any("skipping degenerate case" in rec.message for rec in caplog.records)
 
     def test_error_column_nonnegative_and_consistent(self):
-        spec = StudySpec(
-            domain="square",
-            bc="dirichlet",
-            families=("serendipity",),
-            target=TWO_PI_SQ,
-            sweep="h",
-            fixed=2,
-        )
+        spec = StudySpec("square", "dirichlet", TWO_PI_SQ, sweep_points("h", 2, ["serendipity"]))
         for row in run_study(spec):
             assert row.error == abs(row.lambda_h - TWO_PI_SQ) >= 0.0
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            StudySpec("square", "neumann", ("tensor",), 1.0, "p", 9)
-        with pytest.raises(ValueError):
-            StudySpec("square", "neumann", ("tensor",), 1.0, "x", 2)
-        with pytest.raises(ValueError):
-            StudySpec("disc", "neumann", ("tensor",), 1.0, "p", 2)
-        with pytest.raises(ValueError, match="at least one family"):
-            StudySpec("square", "neumann", (), 1.0, "p", 2)
-        with pytest.raises(ValueError, match="repeat a family"):
-            StudySpec("square", "neumann", ("tensor", "tensor"), 1.0, "p", 2)
+        point = (("tensor", 2, 2),)
+        with pytest.raises(ValueError, match="unknown domain 'disc'"):
+            StudySpec("disc", "neumann", 1.0, point)
+        with pytest.raises(ValueError, match="unknown boundary condition 'robin'"):
+            StudySpec("square", "robin", 1.0, point)
+        with pytest.raises(ValueError, match="unknown family 'lagrange'"):
+            StudySpec("square", "neumann", 1.0, (("lagrange", 2, 2),))
+        with pytest.raises(ValueError, match="at least one point"):
+            StudySpec("square", "neumann", 1.0, ())
+        with pytest.raises(ValueError, match="repeat a point"):
+            StudySpec("square", "neumann", 1.0, point + (("serendipity", 2, 2),) + point)
+        with pytest.raises(ValueError, match="p and N must be >= 1, got p=0 N=2"):
+            StudySpec("square", "neumann", 1.0, (("tensor", 0, 2),))
+        with pytest.raises(ValueError, match="p and N must be >= 1, got p=2 N=0"):
+            StudySpec("square", "neumann", 1.0, (("tensor", 2, 0),))
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_rejected(self, target):
         with pytest.raises(ValueError, match=f"finite, got {target}"):
-            StudySpec("square", "neumann", ("tensor",), target, "p", 2)
+            StudySpec("square", "neumann", target, (("tensor", 2, 2),))
 
     def test_returns_rows_and_writes_nothing(self, monkeypatch):
         def no_file(*args):
@@ -281,25 +253,26 @@ class TestRunStudy:
 
         monkeypatch.setattr(studies, "write_csv", no_file)
         monkeypatch.setattr(studies, "plot_convergence", no_file)
-        spec = StudySpec("square", "neumann", ("serendipity",), TWO_PI_SQ, "p", 1)
+        spec = StudySpec("square", "neumann", TWO_PI_SQ, sweep_points("p", 1, ["serendipity"]))
         assert len(run_study(spec)) == len(P_RANGE)
-        assert len(dataclasses.fields(StudySpec)) == 6
+        fields = [f.name for f in dataclasses.fields(StudySpec)]
+        assert fields == ["domain", "bc", "target", "points"]
+
+    def test_rows_follow_the_points(self):
+        # any order, any family per point, N past the CLI's N_RANGE
+        points = (("serendipity", 2, 6), ("tensor", 1, 1), ("tensor", 3, 6))
+        rows = run_study(StudySpec("square", "neumann", TWO_PI_SQ, points))
+        assert [(r.family, r.p, r.N) for r in rows] == list(points)
 
 
-def lshape_neumann_p_rows(target: float) -> dict[int, dict[str, StudyRow]]:
-    """Rows by p = 2..6 and family of the L-shape Neumann p-sweep at N = 2."""
-    spec = StudySpec(
-        domain="lshape",
-        bc="neumann",
-        families=("tensor", "serendipity"),
-        target=target,
-        sweep="p",
-        fixed=2,
-    )
+@functools.cache
+def lshape_neumann_p_rows(target: float, ps: range) -> dict[int, dict[str, StudyRow]]:
+    """Rows by p and family of one L-shape Neumann study of both families
+    at N = 2."""
+    spec = StudySpec("lshape", "neumann", target, tuple(product(FAMILIES, ps, [2])))
     rows: dict[int, dict[str, StudyRow]] = {}
     for row in run_study(spec):
-        if row.p >= 2:
-            rows.setdefault(row.p, {})[row.family] = row
+        rows.setdefault(row.p, {})[row.family] = row
     return rows
 
 
@@ -331,21 +304,27 @@ class TestSameApproximationFewerDofs:
         lo, hi = line_neumann_mu_1(p)
         assert lo > PI**2 and f"{float(lo - PI**2):.3e}" == gap
         assert dofs[1] < dofs[0]
+        rows = lshape_neumann_p_rows(math.pi**2, range(2, 9))[p]
         for family, ndofs in zip(("tensor", "serendipity"), dofs):
-            # StudySpec sweeps p <= 6, so each point is solved by configuration
-            result = studies.solve_configuration(
-                "lshape", "neumann", family, p, 2, target=math.pi**2
-            )
-            assert result.ndofs == ndofs
-            lam = Fraction(select_near(result, math.pi**2)[0])
+            assert rows[family].ndofs == ndofs
+            lam = Fraction(rows[family].lambda_h)
             assert lo - Fraction(1e-13) <= lam <= hi + Fraction(1e-13), (family, float(lam - lo))
 
     def test_two_pi_sq_rows_differ(self):
         # cos(pi x) cos(pi y) is no function of one variable, so the
         # families approximate it differently
-        for p, by_family in lshape_neumann_p_rows(TWO_PI_SQ).items():
+        for p, by_family in lshape_neumann_p_rows(TWO_PI_SQ, range(2, 7)).items():
             tensor, serendipity = (by_family[f].lambda_h for f in ("tensor", "serendipity"))
             assert abs(tensor - serendipity) > 1e-9 * tensor, p
+
+    def test_serendipity_p4_beats_tensor_p3_with_fewer_dofs(self):
+        # square Dirichlet 5 pi^2 at N = 8, past the CLI's N_RANGE: serendipity
+        # p = 4 has fewer DOFs than tensor p = 3 and about a 40th of its error
+        points = (("serendipity", 4, 8), ("tensor", 3, 8))
+        spec = StudySpec("square", "dirichlet", TARGET_PRESETS["five_pi_sq"], points)
+        serendipity, tensor = run_study(spec)
+        assert (serendipity.ndofs, tensor.ndofs) == (449, 529)
+        assert 10 * serendipity.error <= tensor.error, (serendipity.error, tensor.error)
 
 
 @pytest.mark.parametrize("sweep", ["p", "h"])
@@ -353,9 +332,9 @@ def test_lshape_dirichlet_rows_are_the_ground_state(sweep):
     # by min-max every discrete eigenvalue of a conforming method lies at or
     # above lambda_1, so the eigenvalue nearest lshape_dirichlet_1 is the first
     target = TARGET_PRESETS["lshape_dirichlet_1"]
-    spec = StudySpec("lshape", "dirichlet", ("tensor", "serendipity"), target, sweep, 2)
+    spec = StudySpec("lshape", "dirichlet", target, sweep_points(sweep, 2))
     rows = run_study(spec)
-    assert len(rows) == 2 * len(spec.points())
+    assert len(rows) == len(spec.points)
     for row in rows:
         first = studies.solve_configuration(
             "lshape", "dirichlet", row.family, row.p, row.N
@@ -373,14 +352,7 @@ def test_lshape_dirichlet_rows_are_the_ground_state(sweep):
 def test_lshape_neumann_rows_are_the_sixth_eigenvalue(p):
     # lshape_neumann_4 is the sixth Neumann eigenvalue counted with
     # multiplicity, the zero mode included
-    spec = StudySpec(
-        domain="lshape",
-        bc="neumann",
-        families=("tensor", "serendipity"),
-        target=resolve_target("lshape_neumann_4"),
-        sweep="h",
-        fixed=p,
-    )
+    spec = StudySpec("lshape", "neumann", resolve_target("lshape_neumann_4"), sweep_points("h", p))
     wrong = []
     for row in run_study(spec):
         sixth = studies.solve_configuration(
@@ -430,14 +402,7 @@ class TestCsv:
             read_csv(path)
 
     def test_byte_determinism(self, tmp_path):
-        spec = StudySpec(
-            domain="square",
-            bc="neumann",
-            families=("serendipity",),
-            target=TWO_PI_SQ,
-            sweep="p",
-            fixed=1,
-        )
+        spec = StudySpec("square", "neumann", TWO_PI_SQ, sweep_points("p", 1, ["serendipity"]))
         rows = run_study(spec)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(rows, a)
